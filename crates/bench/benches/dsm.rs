@@ -464,6 +464,55 @@ fn sweep_metrics(pages: usize, prefetch: bool) -> SweepMetrics {
     out[1]
 }
 
+/// One bulk read by node 0 of 12 pages homed four each on nodes 1-3 (the
+/// writers they migrated to). The three range requests are issued before
+/// any reply is awaited, so the read costs about one range round trip
+/// instead of three in series. Returns (read vtime ns, messages node 0
+/// sent during the read). The flat barrier keeps the homes' communication
+/// threads out of barrier traffic, so the read never queues behind the
+/// other nodes' next arrival and its virtual time is deterministic.
+fn multi_home_read_metrics() -> (u64, u64) {
+    const PAGES: usize = 12;
+    const WORDS: usize = PAGE_SIZE / 8;
+    let cfg = DsmConfig {
+        pool_bytes: (PAGES + 8) * PAGE_SIZE,
+        hierarchical_barrier: false,
+        stride_prefetch: false,
+        ..DsmConfig::default()
+    };
+    let out = run_nodes(4, cfg, NetProfile::clan_via(), move |d, clk| {
+        let r = d.alloc_region(PAGES * PAGE_SIZE).unwrap();
+        d.barrier(clk);
+        // The first round migrates pages 4(k-1)..4k to writer k; the
+        // second invalidates node 0's (old home) copies.
+        for round in 1..=2 {
+            let k = d.node();
+            if k > 0 {
+                let data = vec![round as f64; 4 * WORDS];
+                d.write_slice(r, (k - 1) * 4 * WORDS, &data, clk);
+            }
+            d.barrier(clk);
+        }
+        let mut m = (0, 0);
+        if d.node() == 0 {
+            for p in 0..PAGES {
+                assert_eq!(d.home_of(r.first_page() + p), 1 + p / 4);
+            }
+            let mut buf = vec![0.0f64; PAGES * WORDS];
+            let net0 = d.endpoint().local_stats().snapshot();
+            let t0 = clk.now();
+            d.read_slice(r, 0, &mut buf, clk);
+            let vtime = clk.now().saturating_sub(t0).as_nanos();
+            let net1 = d.endpoint().local_stats().snapshot();
+            assert!(buf.iter().all(|&v| v == 2.0));
+            m = (vtime, net1.sent.msgs - net0.sent.msgs);
+        }
+        d.barrier(clk);
+        m
+    });
+    out[0]
+}
+
 fn record_fault_storm_family(b: &mut Bench) {
     const PAGES: usize = 64;
     let demand = sweep_metrics(PAGES, false);
@@ -492,6 +541,10 @@ fn record_fault_storm_family(b: &mut Bench) {
     let ratio = pf.sweep_vtime_ns as f64 / demand.sweep_vtime_ns as f64 * 100.0;
     assert!(ratio < 100.0, "prefetch sweep slower than demand paging");
     b.record("fault_storm/vtime_ratio_pct", ratio);
+
+    let (vtime, msgs) = multi_home_read_metrics();
+    b.record("fault_storm/multi_home_read_vtime_ns_3h", vtime as f64);
+    b.record("fault_storm/multi_home_read_msgs_3h", msgs as f64);
 }
 
 #[derive(Debug, Clone, Copy, Default)]

@@ -838,6 +838,163 @@ fn range_fetch_splits_at_home_boundaries() {
     assert_eq!(s2.range_fetch_pages, N as u64);
 }
 
+/// Pages of the multi-home region; node `k` in 1..=3 homes pages
+/// `4(k-1) .. 4k` once it has written them.
+const MH_PAGES: usize = 12;
+const MH_WORDS: usize = PAGE_SIZE / 8;
+
+/// The value of word `i` of the multi-home region in round `round`.
+fn mh_value(round: usize, i: usize) -> f64 {
+    (round * MH_PAGES * MH_WORDS + i) as f64 + 0.5
+}
+
+/// Nodes 1..=3 each write their four pages of `r` (element offset `base`
+/// into the region) with round `round`'s values, then every node takes the
+/// barrier. The first round migrates the homes to the writers; from the
+/// second on, node 0's copies are invalidated.
+fn mh_write_round(d: &Dsm, r: RegionHandle, round: usize, clk: &mut VClock) {
+    let k = d.node();
+    if (1..=3).contains(&k) {
+        let lo = (k - 1) * 4 * MH_WORDS;
+        let data: Vec<f64> = (lo..lo + 4 * MH_WORDS)
+            .map(|i| mh_value(round, i))
+            .collect();
+        d.write_slice(r, lo, &data, clk);
+    }
+    d.barrier(clk);
+}
+
+#[test]
+fn multi_home_bulk_read_overlaps_its_round_trips() {
+    // Node 0 reads, in one call, twelve pages homed four each on nodes 1-3.
+    // The three range requests go out before any reply is awaited, so the
+    // read costs about one range trip rather than three in series. The
+    // flat barrier keeps the homes' communication threads idle during the
+    // read, so no request queues behind the other nodes' next arrival.
+    let cfg = DsmConfig {
+        hierarchical_barrier: false,
+        stride_prefetch: false,
+        ..small_cfg()
+    };
+    let out = run_nodes(4, cfg, NetProfile::clan_via(), |d, clk| {
+        let one = alloc_on(&d, 4 * PAGE_SIZE);
+        let r = alloc_on(&d, MH_PAGES * PAGE_SIZE);
+        d.barrier(clk);
+        if d.node() == 1 {
+            d.write_slice(one, 0, &vec![1.0f64; 4 * MH_WORDS], clk);
+        }
+        mh_write_round(&d, r, 0, clk);
+        if d.node() == 1 {
+            d.write_slice(one, 0, &vec![2.0f64; 4 * MH_WORDS], clk);
+        }
+        mh_write_round(&d, r, 1, clk);
+        let homes: Vec<usize> = (0..MH_PAGES)
+            .map(|p| d.home_of(r.first_page() + p))
+            .collect();
+        let mut measured = None;
+        if d.node() == 0 {
+            let mut buf = vec![0.0f64; 4 * MH_WORDS];
+            let t0 = clk.now();
+            d.read_slice(one, 0, &mut buf, clk);
+            let one_home = clk.now().saturating_sub(t0);
+            assert!(buf.iter().all(|&v| v == 2.0));
+
+            let mut buf = vec![0.0f64; MH_PAGES * MH_WORDS];
+            let s0 = d.stats.snapshot();
+            let t1 = clk.now();
+            d.read_slice(r, 0, &mut buf, clk);
+            let three_homes = clk.now().saturating_sub(t1);
+            let s1 = d.stats.snapshot();
+            for (i, v) in buf.iter().enumerate() {
+                assert_eq!(v.to_bits(), mh_value(1, i).to_bits(), "word {i}");
+            }
+            measured = Some((
+                one_home,
+                three_homes,
+                s1.range_fetches - s0.range_fetches,
+                s1.page_fetches - s0.page_fetches,
+            ));
+        }
+        d.barrier(clk);
+        (homes, measured)
+    });
+    let (homes, measured) = &out[0];
+    let expect_homes: Vec<usize> = (0..MH_PAGES).map(|p| 1 + p / 4).collect();
+    assert_eq!(homes, &expect_homes, "pages 4(k-1)..4k migrated to node k");
+    let (one_home, three_homes, trips, pages) = measured.expect("node 0 measured");
+    assert_eq!(trips, 3, "one range trip per home");
+    assert_eq!(pages, MH_PAGES as u64);
+    assert!(
+        three_homes >= one_home,
+        "a three-home read {three_homes} is at least one range trip {one_home}"
+    );
+    assert!(
+        three_homes.as_nanos() * 2 < one_home.as_nanos() * 3,
+        "three-home read {three_homes} not overlapped: one range trip is {one_home}"
+    );
+}
+
+#[test]
+fn concurrent_overlapping_bulk_reads_are_bit_identical() {
+    // Two threads of node 0 bulk-read overlapping multi-home ranges at the
+    // same moment, every round: their batches claim pages out from under
+    // each other and each must wait out the other's claims. Both must see
+    // exactly the written bytes, and nothing may deadlock.
+    const ROUNDS: usize = 12;
+    const SPANS: [(usize, usize); 2] = [(0, 9), (3, MH_PAGES)];
+    let out = parade_testkit::watchdog::run_with_timeout(
+        "concurrent_overlapping_bulk_reads",
+        std::time::Duration::from_secs(60),
+        || {
+            run_nodes(4, small_cfg(), NetProfile::clan_via(), |d, clk| {
+                let r = alloc_on(&d, MH_PAGES * PAGE_SIZE);
+                d.barrier(clk);
+                let mut checked = 0usize;
+                for round in 0..ROUNDS {
+                    mh_write_round(&d, r, round, clk);
+                    if d.node() == 0 {
+                        let gate = std::sync::Barrier::new(SPANS.len());
+                        std::thread::scope(|s| {
+                            let readers: Vec<_> = SPANS
+                                .iter()
+                                .map(|&(lo, hi)| {
+                                    let (d, gate) = (&d, &gate);
+                                    s.spawn(move || {
+                                        let mut clk = VClock::manual();
+                                        let mut buf = vec![0.0f64; (hi - lo) * MH_WORDS];
+                                        gate.wait();
+                                        d.read_slice(r, lo * MH_WORDS, &mut buf, &mut clk);
+                                        for (j, v) in buf.iter().enumerate() {
+                                            let i = lo * MH_WORDS + j;
+                                            assert_eq!(
+                                                v.to_bits(),
+                                                mh_value(round, i).to_bits(),
+                                                "round {round} word {i}"
+                                            );
+                                        }
+                                        buf.len()
+                                    })
+                                })
+                                .collect();
+                            for h in readers {
+                                checked += h.join().unwrap();
+                            }
+                        });
+                    }
+                    d.barrier(clk);
+                }
+                (checked, d.stats.snapshot())
+            })
+        },
+    );
+    let (checked, s0) = &out[0];
+    let per_round: usize = SPANS.iter().map(|(lo, hi)| (hi - lo) * MH_WORDS).sum();
+    assert_eq!(*checked, ROUNDS * per_round);
+    // Round 0 migrates the homes away from node 0, which keeps its copies;
+    // every later round invalidates all twelve pages, fetched once each.
+    assert_eq!(s0.page_fetches, ((ROUNDS - 1) * MH_PAGES) as u64);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized stress tests (deterministic: driven by the 46-bit NAS LCG via
 // parade-testkit, so every run replays the identical op sequence).

@@ -379,11 +379,23 @@ impl Dsm {
 
     /// Fault in every page covering `start .. start+len` for reading.
     ///
-    /// With `max_fetch_range > 1` (and a safe update strategy), runs of
-    /// contiguous INVALID pages sharing a home are claimed together and
-    /// fetched in one `ReqPageRange` round trip instead of one per page —
-    /// the bulk-access fault storm a Helmholtz/CG sweep would otherwise
-    /// pay per page.
+    /// With `max_fetch_range > 1` (and a safe update strategy) the misses
+    /// are fetched split-phase, in one batch:
+    /// 1. *claim* — every INVALID remote page is marked TRANSIENT (never
+    ///    blocks); pages mid-update by a sibling thread, or homed here, go
+    ///    on a skip list;
+    /// 2. *issue* — one request per maximal contiguous same-home run
+    ///    (capped at `max_fetch_range`) goes to every home at once,
+    ///    together with the stride predictor's prefetch runs;
+    /// 3. *complete* — every reply is received, installed and published
+    ///    READ_ONLY;
+    /// 4. *wait* — only then are the skipped pages faulted in, waiting out
+    ///    any sibling's update.
+    ///
+    /// A bulk read over several homes therefore pays about one round trip
+    /// instead of one per run. The batch cannot deadlock: the thread waits
+    /// on a sibling's page only after its own requests are answered, and
+    /// homes answer without waiting on any application thread.
     pub fn ensure_readable(&self, start: usize, len: usize, clock: &mut VClock) {
         let max_range = self.cfg.max_fetch_range;
         if max_range <= 1 || !self.cfg.update_strategy.is_safe() {
@@ -395,9 +407,14 @@ impl Dsm {
             return;
         }
         let pages: Vec<PageId> = crate::page::pages_covering(start, len).collect();
-        if self.cfg.stride_prefetch && !pages.is_empty() {
-            self.note_access(&pages, clock);
-        }
+        // Prefetch claims go first so the predictor keeps the pages it
+        // chose; the demand runs then stop at them.
+        let mut runs = if self.cfg.stride_prefetch && !pages.is_empty() {
+            self.note_access(&pages)
+        } else {
+            Vec::new()
+        };
+        let mut skipped: Vec<PageId> = Vec::new();
         let mut i = 0;
         while i < pages.len() {
             let first = pages[i];
@@ -406,18 +423,13 @@ impl Dsm {
                 continue;
             }
             let home = self.home_of(first);
-            if home == self.node {
-                // A home copy is never INVALID; the fast flag must have
-                // been racing with a migration. Take the ordinary path.
-                self.read_fault(first, clock);
-                i += 1;
-                continue;
-            }
             // Claim a run of contiguous INVALID pages with the same home.
             // Claiming marks each TRANSIENT (we own its update); a page
-            // that is not INVALID at lock time ends the run.
+            // that is not INVALID at lock time ends the run. A home copy
+            // is never INVALID; the fast flag must have been racing with a
+            // migration, so such a page takes the ordinary path.
             let mut claimed = 0usize;
-            while i < pages.len() && claimed < max_range {
+            while home != self.node && i < pages.len() && claimed < max_range {
                 let p = pages[i];
                 if p != first + claimed || self.home_of(p) != home {
                     break;
@@ -432,39 +444,37 @@ impl Dsm {
                 claimed += 1;
                 i += 1;
             }
-            match claimed {
-                0 => {
-                    // Readable already, or mid-update by a sibling thread:
-                    // read_fault waits it out.
-                    self.read_fault(first, clock);
-                    i += 1;
-                }
-                1 => {
-                    self.stats.read_faults.fetch_add(1, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmReadFault, first as u64, clock.now());
-                    self.fetch_page(first, clock);
-                    self.complete_update(first);
-                }
-                n => {
-                    self.stats
-                        .read_faults
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    self.fetch_page_range(first, n, clock);
-                    for p in first..first + n {
-                        self.complete_update(p);
-                    }
-                }
+            if claimed == 0 {
+                // Readable already, homed here, or mid-update (by a sibling
+                // thread or by our own prefetch claim).
+                skipped.push(first);
+                i += 1;
+                continue;
+            }
+            self.stats
+                .read_faults
+                .fetch_add(claimed as u64, Ordering::Relaxed);
+            if claimed == 1 {
+                trace::instant(EventKind::DsmReadFault, first as u64, clock.now());
+            }
+            runs.push((first, claimed));
+        }
+        self.fetch_runs(&runs, clock);
+        for page in skipped {
+            if self.pages[page].fast.load(Ordering::Acquire) < PageState::ReadOnly as u8 {
+                self.read_fault(page, clock);
             }
         }
     }
 
     /// Feed one bulk access into this thread's stride predictor: credit
     /// prefetch hits, record the leading page, and on a confirmed stride
-    /// speculatively fetch the next predicted pages. Issued only on a
-    /// *miss* (the leading page was not itself prefetched), so a confirmed
-    /// unit-stride stream settles into one demand trip plus one range trip
-    /// per window instead of one round trip per page.
-    fn note_access(&self, pages: &[PageId], clock: &mut VClock) {
+    /// claim the next predicted pages. Returns the claimed prefetch runs,
+    /// which join the access's demand batch. Issued only on a *miss* (the
+    /// leading page was not itself prefetched), so a confirmed unit-stride
+    /// stream settles into one demand page plus one range per window
+    /// instead of one round trip per page.
+    fn note_access(&self, pages: &[PageId]) -> Vec<(PageId, usize)> {
         PREFETCH.with(|cell| {
             let mut slot = cell.borrow_mut();
             let st = match slot.as_mut() {
@@ -489,7 +499,7 @@ impl Dsm {
                 }
             }
             if st.pred.is_disabled() {
-                return;
+                return Vec::new();
             }
             let before = st.pred.mispredicts();
             let decision = st.pred.record_fault(pages[0]);
@@ -500,26 +510,23 @@ impl Dsm {
                     .fetch_add(broke as u64, Ordering::Relaxed);
                 st.outstanding.clear();
             }
-            if let Prediction::Prefetch { stride, count } = decision {
-                if !leading_hit {
-                    let issued = self.issue_prefetch(pages[0], stride, count, clock);
-                    st.outstanding.extend(issued);
+            match decision {
+                Prediction::Prefetch { stride, count } if !leading_hit => {
+                    let runs = self.claim_prefetch(pages[0], stride, count);
+                    st.outstanding
+                        .extend(runs.iter().flat_map(|&(first, n)| first..first + n));
+                    runs
                 }
+                _ => Vec::new(),
             }
-        });
+        })
     }
 
-    /// Speculatively fetch up to `count` pages at `access + k·stride`.
+    /// Speculatively claim up to `count` pages at `access + k·stride`.
     /// Pages that are out of pool, locally homed, or not INVALID are
-    /// skipped; the rest are claimed TRANSIENT and fetched in maximal
-    /// contiguous same-home runs. Returns the pages actually fetched.
-    fn issue_prefetch(
-        &self,
-        access: PageId,
-        stride: isize,
-        count: usize,
-        clock: &mut VClock,
-    ) -> Vec<PageId> {
+    /// skipped; the rest are claimed TRANSIENT and returned as maximal
+    /// contiguous same-home runs for the caller's fetch batch.
+    fn claim_prefetch(&self, access: PageId, stride: isize, count: usize) -> Vec<(PageId, usize)> {
         let npages = self.pages.len();
         let mut claimed: Vec<PageId> = Vec::new();
         for k in 1..=count.min(self.cfg.max_fetch_range) as isize {
@@ -542,41 +549,25 @@ impl Dsm {
             drop(inner);
             claimed.push(p);
         }
-        if claimed.is_empty() {
-            return claimed;
-        }
         self.stats
             .prefetch_pages
             .fetch_add(claimed.len() as u64, Ordering::Relaxed);
         claimed.sort_unstable();
-        let mut i = 0;
-        while i < claimed.len() {
-            let first = claimed[i];
-            let home = self.home_of(first);
-            let mut n = 1;
-            while i + n < claimed.len()
-                && claimed[i + n] == first + n
-                && self.home_of(claimed[i + n]) == home
-            {
-                n += 1;
-            }
-            self.stats.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-            if n == 1 {
-                self.fetch_page(first, clock);
-                self.complete_update(first);
-            } else {
-                self.fetch_page_range(first, n, clock);
-                for p in first..first + n {
-                    self.complete_update(p);
+        let mut runs: Vec<(PageId, usize)> = Vec::new();
+        for p in claimed {
+            match runs.last_mut() {
+                Some((first, n)) if *first + *n == p && self.home_of(*first) == self.home_of(p) => {
+                    *n += 1
                 }
+                _ => runs.push((p, 1)),
             }
-            i += n;
         }
-        claimed
+        self.stats
+            .prefetch_issued
+            .fetch_add(runs.len() as u64, Ordering::Relaxed);
+        runs
     }
 
-    /// Publish a fetched page: the caller owned the TRANSIENT transition;
-    /// waiters that piled on (BLOCKED) are woken.
     /// Wake every thread parked on a page condvar. Called by the
     /// communication thread as it exits on fabric shutdown: a parked
     /// compute thread is waiting for a protocol step (atomic page update,
@@ -597,6 +588,8 @@ impl Dsm {
         }
     }
 
+    /// Publish a fetched page: the caller owned the TRANSIENT transition;
+    /// waiters that piled on (BLOCKED) are woken.
     fn complete_update(&self, page: PageId) {
         let meta = &self.pages[page];
         let mut inner = meta.inner.lock();
@@ -648,20 +641,7 @@ impl Dsm {
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);
                     drop(inner);
-                    self.fetch_page(page, clock);
-                    inner = meta.inner.lock();
-                    // Only the fetch holder may complete the update; other
-                    // threads can at most pile on (TRANSIENT -> BLOCKED).
-                    debug_assert!(
-                        matches!(inner.state, PageState::Transient | PageState::Blocked),
-                        "fetch holder lost page {page}: {:?}",
-                        inner.state
-                    );
-                    let had_waiters = inner.state == PageState::Blocked;
-                    meta.set_state(&mut inner, PageState::ReadOnly);
-                    if had_waiters {
-                        meta.cv.notify_all();
-                    }
+                    self.fetch_runs(&[(page, 1)], clock);
                     return;
                 }
             }
@@ -708,140 +688,122 @@ impl Dsm {
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);
                     drop(inner);
-                    self.fetch_page(page, clock);
+                    self.fetch_runs(&[(page, 1)], clock);
                     inner = meta.inner.lock();
-                    debug_assert!(
-                        matches!(inner.state, PageState::Transient | PageState::Blocked),
-                        "fetch holder lost page {page}: {:?}",
-                        inner.state
-                    );
-                    let had_waiters = inner.state == PageState::Blocked;
-                    meta.set_state(&mut inner, PageState::ReadOnly);
-                    if had_waiters {
-                        meta.cv.notify_all();
-                    }
                     // Loop continues: the ReadOnly arm upgrades to Dirty.
                 }
             }
         }
     }
 
-    /// Fetch the up-to-date page from its home and install it through the
-    /// "system path" while application threads are held off by the
-    /// TRANSIENT state. Caller owns the TRANSIENT transition.
-    fn fetch_page(&self, page: PageId, clock: &mut VClock) {
-        trace::begin_arg(EventKind::DsmFetch, page as u64, clock.now());
-        // Caller holds the TRANSIENT transition; concurrent faulters may
-        // have piled on (BLOCKED) but cannot advance the page further.
-        debug_assert!(
-            matches!(
-                PageState::from_u8(self.pages[page].fast.load(Ordering::Acquire)),
-                PageState::Transient | PageState::Blocked
-            ),
-            "fetch without owning the update for page {page}"
-        );
-        let home = self.home_of(page);
-        assert_ne!(
-            home, self.node,
-            "page {page} INVALID on its own home node {}",
-            self.node
-        );
-        let tag = self.next_reply_tag();
-        let req = DsmMsg::ReqPage {
-            page,
-            requester: self.node,
-            reply_tag: tag,
+    /// Fetch runs of contiguous same-home pages and install them through
+    /// the "system path" while application threads are held off by the
+    /// TRANSIENT state; the caller owns the TRANSIENT transition of every
+    /// page. Split-phase: the request of every run (`ReqPage` for one page,
+    /// `ReqPageRange` for more) is sent before any reply is awaited, so the
+    /// round trips to different homes overlap. Each run's pages are
+    /// published READ_ONLY as its reply is installed. The whole batch is
+    /// one `DsmFetch` span.
+    fn fetch_runs(&self, runs: &[(PageId, usize)], clock: &mut VClock) {
+        let Some(&(lead, _)) = runs.first() else {
+            return;
         };
-        self.ep.send(home, MsgClass::Dsm, 0, req.encode(), clock);
-        let pkt = self
-            .ep
-            .recv(MsgClass::Ctl, Match::tagged(tag), clock)
-            .expect("fetch reply after shutdown");
-        let DsmReply::PageData { page: rp, data } = DsmReply::decode(&pkt.payload) else {
-            unreachable!("unexpected reply to page request");
-        };
-        assert_eq!(rp, page);
-        self.stats.page_fetches.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .fetch_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        // A fetched copy makes this node a sharer of the page; the read
-        // set rides the next barrier arrival into the protocol table.
-        self.shards.mark_read(page);
-        clock.charge_comm(self.cfg.update_strategy.per_update_overhead());
-        if self.cfg.update_strategy.is_safe() {
-            // SAFETY: we hold the TRANSIENT transition for this page.
-            unsafe { self.pool.copy_page_in(page, &data) };
-        } else {
-            // NaiveUnsafe: simulate a conventional single-threaded SDSM
-            // that makes the page accessible *before* the copy finishes —
-            // other threads' fast paths will read a torn page. The store
-            // deliberately bypasses `set_state` (and so the
-            // `can_transition` discipline): publishing READ_ONLY out of
-            // the fast flag while `inner.state` is still TRANSIENT *is*
-            // the modelled bug.
-            self.pages[page]
-                .fast
-                .store(PageState::ReadOnly as u8, Ordering::Release);
-            let start = page * PAGE_SIZE;
-            for (i, chunk) in data.chunks(256).enumerate() {
-                // SAFETY: bounds are within the page.
-                unsafe { self.pool.write_bytes(start + i * 256, chunk) };
-                std::thread::yield_now();
-            }
-        }
-        trace::end(EventKind::DsmFetch, clock.now());
-    }
-
-    /// Fetch `count` contiguous pages homed on one node in a single round
-    /// trip. Caller owns the TRANSIENT transition of every page in the
-    /// range. Only used with safe update strategies (the torn-page model
-    /// of `NaiveUnsafe` stays a strictly per-page affair).
-    fn fetch_page_range(&self, first: PageId, count: usize, clock: &mut VClock) {
-        trace::begin_arg(EventKind::DsmFetch, first as u64, clock.now());
-        trace::instant(EventKind::DsmRangeFetch, count as u64, clock.now());
-        let home = self.home_of(first);
-        debug_assert_ne!(home, self.node);
-        let tag = self.next_reply_tag();
-        let req = DsmMsg::ReqPageRange {
-            first,
-            count: count as u32,
-            requester: self.node,
-            reply_tag: tag,
-        };
-        self.ep.send(home, MsgClass::Dsm, 0, req.encode(), clock);
-        let pkt = self
-            .ep
-            .recv(MsgClass::Ctl, Match::tagged(tag), clock)
-            .expect("range fetch reply after shutdown");
-        let DsmReply::PageRangeData { first: rf, data } = DsmReply::decode(&pkt.payload) else {
-            unreachable!("unexpected reply to page range request");
-        };
-        assert_eq!(rf, first);
-        assert_eq!(data.len(), count * PAGE_SIZE, "short page range reply");
-        self.stats
-            .page_fetches
-            .fetch_add(count as u64, Ordering::Relaxed);
-        self.stats.range_fetches.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .range_fetch_pages
-            .fetch_add(count as u64, Ordering::Relaxed);
-        self.stats
-            .fetch_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        for p in first..first + count {
-            self.shards.mark_read(p);
-        }
+        trace::begin_arg(EventKind::DsmFetch, lead as u64, clock.now());
+        let tags: Vec<u64> = runs
+            .iter()
+            .map(|&(first, count)| {
+                // Concurrent faulters may have piled on (BLOCKED) but cannot
+                // advance the page further.
+                debug_assert!(
+                    (first..first + count).all(|p| matches!(
+                        self.page_state(p),
+                        PageState::Transient | PageState::Blocked
+                    )),
+                    "fetch without owning the update for pages {first}+{count}"
+                );
+                let home = self.home_of(first);
+                assert_ne!(
+                    home, self.node,
+                    "page {first} INVALID on its own home node {}",
+                    self.node
+                );
+                let tag = self.next_reply_tag();
+                let req = if count == 1 {
+                    DsmMsg::ReqPage {
+                        page: first,
+                        requester: self.node,
+                        reply_tag: tag,
+                    }
+                } else {
+                    trace::instant(EventKind::DsmRangeFetch, count as u64, clock.now());
+                    DsmMsg::ReqPageRange {
+                        first,
+                        count: count as u32,
+                        requester: self.node,
+                        reply_tag: tag,
+                    }
+                };
+                self.ep.send(home, MsgClass::Dsm, 0, req.encode(), clock);
+                tag
+            })
+            .collect();
         let per_page = self.cfg.update_strategy.per_update_overhead();
-        clock.charge_comm(VTime::from_nanos(per_page.as_nanos() * count as u64));
-        for k in 0..count {
-            // SAFETY: we hold the TRANSIENT transition for every page in
-            // the range; the strategy is safe, so the system path installs
-            // the copy before any reader gets through.
-            unsafe {
-                self.pool
-                    .copy_page_in(first + k, &data[k * PAGE_SIZE..(k + 1) * PAGE_SIZE])
+        for (&(first, count), tag) in runs.iter().zip(tags) {
+            let pkt = self
+                .ep
+                .recv(MsgClass::Ctl, Match::tagged(tag), clock)
+                .expect("fetch reply after shutdown");
+            let data = match DsmReply::decode(&pkt.payload) {
+                DsmReply::PageData { page, data } if count == 1 && page == first => data,
+                DsmReply::PageRangeData { first: rf, data } if count > 1 && rf == first => data,
+                other => unreachable!(
+                    "unexpected reply to a fetch of {count} page(s) at {first}: {other:?}"
+                ),
             };
+            assert_eq!(data.len(), count * PAGE_SIZE, "short page fetch reply");
+            self.stats
+                .page_fetches
+                .fetch_add(count as u64, Ordering::Relaxed);
+            if count > 1 {
+                self.stats.range_fetches.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .range_fetch_pages
+                    .fetch_add(count as u64, Ordering::Relaxed);
+            }
+            self.stats
+                .fetch_bytes
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+            // A fetched copy makes this node a sharer of the page; the read
+            // set rides the next barrier arrival into the protocol table.
+            for p in first..first + count {
+                self.shards.mark_read(p);
+            }
+            clock.charge_comm(VTime::from_nanos(per_page.as_nanos() * count as u64));
+            for (p, bytes) in (first..first + count).zip(data.chunks_exact(PAGE_SIZE)) {
+                if self.cfg.update_strategy.is_safe() {
+                    // SAFETY: we hold the TRANSIENT transition for the page.
+                    unsafe { self.pool.copy_page_in(p, bytes) };
+                } else {
+                    // NaiveUnsafe (single-page faults only): simulate a
+                    // conventional single-threaded SDSM that makes the page
+                    // accessible *before* the copy finishes — other threads'
+                    // fast paths will read a torn page. The store
+                    // deliberately bypasses `set_state` (and so the
+                    // `can_transition` discipline): publishing READ_ONLY out
+                    // of the fast flag while `inner.state` is still
+                    // TRANSIENT *is* the modelled bug.
+                    self.pages[p]
+                        .fast
+                        .store(PageState::ReadOnly as u8, Ordering::Release);
+                    let start = p * PAGE_SIZE;
+                    for (i, chunk) in bytes.chunks(256).enumerate() {
+                        // SAFETY: bounds are within the page.
+                        unsafe { self.pool.write_bytes(start + i * 256, chunk) };
+                        std::thread::yield_now();
+                    }
+                }
+                self.complete_update(p);
+            }
         }
         trace::end(EventKind::DsmFetch, clock.now());
     }

@@ -124,11 +124,14 @@ struct Waiter {
     last_seen: u64,
 }
 
-/// A page request (single page or a contiguous range) waiting for this
-/// node to become home / the copy to become readable.
-struct DeferredFetch {
+/// A page request (`ReqPage` or `ReqPageRange`) to serve now, or to hold
+/// until this node becomes home / the copy becomes readable.
+struct PageRequest {
     first: PageId,
-    count: u32,
+    count: usize,
+    /// Asked as a `ReqPageRange`: answered with `PageRangeData` whatever
+    /// the count, since the requester matches the reply on its kind.
+    ranged: bool,
     requester: usize,
     reply_tag: u64,
 }
@@ -137,7 +140,7 @@ struct DeferredFetch {
 /// server mutex so tests can drive handling manually).
 #[derive(Default)]
 pub struct ServerState {
-    deferred: Vec<DeferredFetch>,
+    deferred: Vec<PageRequest>,
     arrivals: HashMap<u64, Vec<Arrival>>,
     tree: HashMap<u64, TreeBarrier>,
     locks: HashMap<u64, LockState>,
@@ -194,31 +197,31 @@ impl Dsm {
                 page,
                 requester,
                 reply_tag,
-            } => {
-                if !self.try_serve_page(page, requester, reply_tag, srv) {
-                    self.server.lock().deferred.push(DeferredFetch {
-                        first: page,
-                        count: 1,
-                        requester,
-                        reply_tag,
-                    });
-                }
-            }
+            } => self.serve_or_defer(
+                PageRequest {
+                    first: page,
+                    count: 1,
+                    ranged: false,
+                    requester,
+                    reply_tag,
+                },
+                srv,
+            ),
             DsmMsg::ReqPageRange {
                 first,
                 count,
                 requester,
                 reply_tag,
-            } => {
-                if !self.try_serve_page_range(first, count, requester, reply_tag, srv) {
-                    self.server.lock().deferred.push(DeferredFetch {
-                        first,
-                        count,
-                        requester,
-                        reply_tag,
-                    });
-                }
-            }
+            } => self.serve_or_defer(
+                PageRequest {
+                    first,
+                    count: count as usize,
+                    ranged: true,
+                    requester,
+                    reply_tag,
+                },
+                srv,
+            ),
             DsmMsg::Diff {
                 page,
                 requester,
@@ -310,8 +313,8 @@ impl Dsm {
                 // sharing). We are the old home and still hold the merged
                 // interval bytes — no node can write the page until this
                 // push lands, because the new home defers all fetches while
-                // parked. Note `try_serve_page` would refuse: we are no
-                // longer `home_of(page)`.
+                // parked. Note `try_serve` would refuse: we are no longer
+                // `home_of(page)`.
                 let mut buf = vec![0u8; PAGE_SIZE];
                 {
                     let _inner = self.pages[page].inner.lock();
@@ -436,7 +439,7 @@ impl Dsm {
         let meta = &self.pages[page];
         let _inner = meta.inner.lock();
         // We are the page's home: its copy is never absent or
-        // mid-fetch here (fetch_page targets remote homes only).
+        // mid-fetch here (fetches target remote homes only).
         debug_assert!(
             !matches!(_inner.state, PageState::Invalid | PageState::Transient),
             "diff shipped to a non-resident home copy of page {page}: {:?}",
@@ -453,93 +456,54 @@ impl Dsm {
         }
     }
 
-    /// Serve a page request if we are its current home and the page is
-    /// readable; returns false when the request must be deferred (we are
-    /// not yet home, or the page awaits a migration push).
-    fn try_serve_page(
-        &self,
-        page: PageId,
-        requester: usize,
-        reply_tag: u64,
-        srv: &mut CommServer,
-    ) -> bool {
-        if self.home_of(page) != self.node() {
+    /// Serve a page request if every page it names is homed here and
+    /// readable; returns false when the whole request must be deferred (we
+    /// are not yet home, or a page awaits a migration push — homes only
+    /// move in lockstep at barriers, so a mixed range means a push is
+    /// still in flight).
+    fn try_serve(&self, req: &PageRequest, srv: &mut CommServer) -> bool {
+        let pages = req.first..req.first + req.count;
+        if pages
+            .clone()
+            .any(|p| self.home_of(p) != self.node() || !self.page_state(p).readable())
+        {
             return false;
         }
-        let state = self.page_state(page);
-        if !state.readable() {
-            return false;
-        }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        // SAFETY: home copy is valid; concurrent word-level writes by local
-        // application threads are application races, as on real SDSM.
-        unsafe { self.pool.copy_page_out(page, &mut buf) };
-        srv.charge_copy(PAGE_SIZE);
-        self.reply(
-            requester,
-            reply_tag,
-            DsmReply::PageData {
-                page,
-                data: Bytes::from(buf),
-            },
-            srv,
-        );
-        true
-    }
-
-    /// Serve a coalesced contiguous-page fetch if every page in the range
-    /// is homed here and readable; otherwise the whole range is deferred
-    /// (homes only move in lockstep at barriers, so a mixed range means a
-    /// migration push is still in flight).
-    fn try_serve_page_range(
-        &self,
-        first: PageId,
-        count: u32,
-        requester: usize,
-        reply_tag: u64,
-        srv: &mut CommServer,
-    ) -> bool {
-        let count = count as usize;
-        for page in first..first + count {
-            if self.home_of(page) != self.node() || !self.page_state(page).readable() {
-                return false;
-            }
-        }
-        let mut buf = vec![0u8; count * PAGE_SIZE];
-        for (k, chunk) in buf.chunks_exact_mut(PAGE_SIZE).enumerate() {
+        let mut buf = vec![0u8; req.count * PAGE_SIZE];
+        for (page, chunk) in pages.zip(buf.chunks_exact_mut(PAGE_SIZE)) {
             // SAFETY: home copy is valid; concurrent word-level writes by
             // local application threads are application races, as on real
             // SDSM.
-            unsafe { self.pool.copy_page_out(first + k, chunk) };
+            unsafe { self.pool.copy_page_out(page, chunk) };
         }
-        srv.charge_copy(count * PAGE_SIZE);
-        self.reply(
-            requester,
-            reply_tag,
+        srv.charge_copy(req.count * PAGE_SIZE);
+        let data = Bytes::from(buf);
+        let reply = if req.ranged {
             DsmReply::PageRangeData {
-                first,
-                data: Bytes::from(buf),
-            },
-            srv,
-        );
+                first: req.first,
+                data,
+            }
+        } else {
+            DsmReply::PageData {
+                page: req.first,
+                data,
+            }
+        };
+        self.reply(req.requester, req.reply_tag, reply, srv);
         true
+    }
+
+    fn serve_or_defer(&self, req: PageRequest, srv: &mut CommServer) {
+        if !self.try_serve(&req, srv) {
+            self.server.lock().deferred.push(req);
+        }
     }
 
     /// Re-examine deferred page requests (after home migrations or pushes).
     fn retry_deferred(&self, srv: &mut CommServer) {
-        let pending: Vec<DeferredFetch> = {
-            let mut st = self.server.lock();
-            std::mem::take(&mut st.deferred)
-        };
-        for d in pending {
-            let served = if d.count == 1 {
-                self.try_serve_page(d.first, d.requester, d.reply_tag, srv)
-            } else {
-                self.try_serve_page_range(d.first, d.count, d.requester, d.reply_tag, srv)
-            };
-            if !served {
-                self.server.lock().deferred.push(d);
-            }
+        let pending = std::mem::take(&mut self.server.lock().deferred);
+        for req in pending {
+            self.serve_or_defer(req, srv);
         }
     }
 
@@ -801,6 +765,67 @@ fn make_grant(ls: &LockState, last_seen: u64) -> DsmReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DsmConfig;
+    use crate::msg::REPLY_TAG_BASE;
+    use parade_net::{Fabric, Match, NetProfile};
+
+    /// Deliver the next DSM-class packet queued at `dsm`'s node to its
+    /// request handler, as the communication thread would.
+    fn service_one(dsm: &Dsm, srv: &mut CommServer) {
+        let pkt = dsm.ep.recv_any_raw(MsgClass::Dsm).expect("queued request");
+        dsm.handle_packet(pkt, srv);
+    }
+
+    #[test]
+    fn deferred_one_page_range_request_gets_a_range_reply() {
+        let fabric = Fabric::new(2, NetProfile::zero());
+        let cfg = DsmConfig {
+            pool_bytes: 4 * PAGE_SIZE,
+            ..DsmConfig::default()
+        };
+        let server = Dsm::new(fabric.endpoint(1), cfg);
+        let client = fabric.endpoint(0);
+        let mut srv = CommServer::new(cfg.comm);
+        let mut clk = VClock::manual();
+        let tag = REPLY_TAG_BASE;
+        let req = DsmMsg::ReqPageRange {
+            first: 2,
+            count: 1,
+            requester: 0,
+            reply_tag: tag,
+        };
+        client.send(1, MsgClass::Dsm, 0, req.encode(), &mut clk);
+        // Node 0 still homes page 2, so node 1 holds the request back.
+        service_one(&server, &mut srv);
+        assert_eq!(server.server.lock().deferred.len(), 1);
+
+        // Node 1 becomes the home with a readable copy (as after a
+        // migration push); the nudge retries the deferred request.
+        server.homes[2].store(1, Ordering::Release);
+        {
+            let meta = &server.pages[2];
+            let mut inner = meta.inner.lock();
+            meta.set_state(&mut inner, PageState::Transient);
+            meta.set_state(&mut inner, PageState::ReadOnly);
+        }
+        server
+            .ep
+            .send(1, MsgClass::Dsm, 0, DsmMsg::Nudge.encode(), &mut clk);
+        service_one(&server, &mut srv);
+        assert!(server.server.lock().deferred.is_empty());
+
+        let pkt = client
+            .recv(MsgClass::Ctl, Match::tagged(tag), &mut clk)
+            .expect("reply to the deferred request");
+        match DsmReply::decode(&pkt.payload) {
+            DsmReply::PageRangeData { first, data } => {
+                assert_eq!(first, 2);
+                assert_eq!(data.len(), PAGE_SIZE);
+            }
+            other => panic!("a range request must get a range reply, got {other:?}"),
+        }
+        fabric.begin_shutdown();
+    }
 
     #[test]
     fn binomial_tree_shape() {
