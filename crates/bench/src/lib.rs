@@ -8,7 +8,7 @@
 
 use parade_cluster::{ClusterConfig, ExecConfig, ProtocolMode};
 use parade_core::{Cluster, NetProfile, TimeSource};
-use parade_dsm::UpdateStrategy;
+use parade_dsm::{DsmConfig, UpdateStrategy};
 use parade_kernels::cg::{cg_mpi, cg_parade, CgClass};
 use parade_kernels::ep::{ep_parade, EpClass};
 use parade_kernels::helmholtz::{helmholtz_parade, HelmholtzParams};
@@ -207,7 +207,10 @@ impl FigureOpts {
             protocol: mode,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 4 << 20,
+            dsm: DsmConfig {
+                pool_bytes: 4 << 20,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         }
     }
@@ -377,10 +380,13 @@ pub fn update_methods(opts: &FigureOpts) -> Table {
         let cfg = ClusterConfig {
             nodes: 2,
             exec: ExecConfig::OneThreadTwoCpu,
-            update_strategy: strat,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: (pages + 64) * parade_dsm::PAGE_SIZE,
+            dsm: DsmConfig {
+                update_strategy: strat,
+                pool_bytes: (pages + 64) * parade_dsm::PAGE_SIZE,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         };
         let cluster = Cluster::from_config(cfg);
@@ -435,10 +441,10 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
     );
     for &n in opts.nodes.iter().filter(|&&n| n > 1) {
         let mut cfg = opts.base_cfg(n, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
-        cfg.home_policy = Some(parade_dsm::HomePolicy::Migratory);
+        cfg.dsm.home_policy = parade_dsm::HomePolicy::Migratory;
         let (r1, rep1) = cg_parade(&Cluster::from_config(cfg.clone()), class);
         assert!(r1.verify(class));
-        cfg.home_policy = Some(parade_dsm::HomePolicy::Fixed);
+        cfg.dsm.home_policy = parade_dsm::HomePolicy::Fixed;
         let (r2, rep2) = cg_parade(&Cluster::from_config(cfg), class);
         assert!(r2.verify(class));
         t.row(vec![
@@ -500,7 +506,10 @@ pub fn ablation_schedules(opts: &FigureOpts) -> Table {
                 exec: ExecConfig::TwoThreadTwoCpu,
                 net: NetProfile::clan_via(),
                 time: TimeSource::ThreadCpu { scale: 1.0 },
-                pool_bytes: 4 << 20,
+                dsm: DsmConfig {
+                    pool_bytes: 4 << 20,
+                    ..DsmConfig::default()
+                },
                 ..ClusterConfig::default()
             };
             let sched = sched.to_string();
@@ -718,8 +727,11 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         nodes,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
-        proto_select: select,
-        stride_prefetch: prefetch,
+        dsm: DsmConfig {
+            proto_select: select,
+            stride_prefetch: prefetch,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let runs = [
@@ -834,8 +846,11 @@ pub fn task_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         exec: ExecConfig::TwoThreadTwoCpu,
         net: NetProfile::zero(),
         time: TimeSource::Manual,
-        pool_bytes: 4 << 20,
         task_scheduler: sched,
+        dsm: DsmConfig {
+            pool_bytes: 4 << 20,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let mut runs: Vec<(&str, MdResult)> =
@@ -927,8 +942,11 @@ pub fn steal_soak(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         exec: ExecConfig::TwoThreadTwoCpu,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
-        pool_bytes: 4 << 20,
         chaos: chaos.clone(),
+        dsm: DsmConfig {
+            pool_bytes: 4 << 20,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let seq = nbody_task_sequential(p, blocks);

@@ -1,7 +1,7 @@
-//! Cluster configuration: the paper's execution configurations (§6.2) and
-//! all protocol knobs in one place.
+//! Cluster configuration: the paper's execution configurations (§6.2),
+//! the protocol mode (§6.1) and the per-node DSM configuration.
 
-use parade_dsm::{CommCosts, DsmConfig, HomePolicy, LockKind, ProtoSelect, UpdateStrategy};
+use parade_dsm::{CommCosts, DsmConfig, HomePolicy};
 use parade_net::{ChaosProfile, NetProfile, TimeSource};
 use parade_tasks::SchedConfig;
 
@@ -88,58 +88,25 @@ pub struct ClusterConfig {
     /// Optional per-node CPU scale multipliers (the paper's cluster mixes
     /// 550 and 600 MHz nodes). Multiplied on top of `time`'s scale.
     pub node_speed: Option<Vec<f64>>,
-    /// Shared pool bytes per node.
-    pub pool_bytes: usize,
-    /// Small-data threshold for the message-passing update protocol.
-    pub small_threshold: usize,
-    pub update_strategy: UpdateStrategy,
-    pub lock_kind: LockKind,
-    /// Home policy override; `None` derives it from `protocol`
-    /// (Parade → Migratory, SdsmOnly → Fixed).
-    pub home_policy: Option<HomePolicy>,
-    /// Ship one `DiffBatch` per destination home at each release instead of
-    /// one `Diff` message + ack per dirty page.
-    pub batch_diffs: bool,
-    /// Upper bound on contiguous pages coalesced into one fetch; `<= 1`
-    /// disables coalescing.
-    pub max_fetch_range: usize,
     /// Fault injection for the fabric. The default honours the
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
     /// can be soaked under chaos without code changes.
     pub chaos: ChaosProfile,
-    /// Two-level SMP-aware collectives (default on): the DSM barrier
-    /// aggregates arrivals up a binomial tree of communication threads
-    /// instead of all nodes messaging node 0, and MPI collectives combine
-    /// co-located ranks through shared memory with only per-chassis
-    /// leaders crossing the fabric. Off reverts both to the flat
-    /// algorithms (the measurable pre-hierarchy baseline).
-    pub hierarchical_collectives: bool,
     /// Fabric nodes per physical SMP chassis, for collective-topology
     /// purposes: consecutive runs of `smp_width` nodes are treated as
     /// co-located. 1 (the default) makes every node its own chassis, so
-    /// MPI collectives stay flat even when `hierarchical_collectives` is
+    /// MPI collectives stay flat even when `dsm.hierarchical_barrier` is
     /// on (the DSM tree barrier is node-level and unaffected).
     pub smp_width: usize,
     /// Task scheduler knobs (steal strategy, victim fanout, batch grain,
     /// victim-selection seed) for `parade-tasks` phases.
     pub task_scheduler: SchedConfig,
-    /// Lock shards for per-node page bookkeeping and home-side page state
-    /// (rounded up to a power of two; `<= 1` restores one global lock).
-    pub page_shards: usize,
-    /// Per-thread stride prefetcher: predict the next pages of a strided
-    /// access pattern and fetch them ahead of the demand miss.
-    pub stride_prefetch: bool,
-    /// Pages fetched ahead per confirmed stride (clamped to
-    /// `max_fetch_range`).
-    pub prefetch_depth: usize,
-    /// Consecutive stride breaks tolerated before a thread's predictor is
-    /// permanently disabled for the run.
-    pub prefetch_mispredict_budget: u32,
-    /// Per-page invalidate-vs-update protocol selection (see
-    /// `ProtoSelect`). `Adaptive` picks per page from barrier-time
-    /// sharer/writer history; the static modes force one protocol
-    /// everywhere.
-    pub proto_select: ProtoSelect,
+    /// Per-node DSM configuration. `comm` is ignored: it comes from
+    /// `exec` (see [`ExecConfig::comm_costs`]). `home_policy` applies
+    /// under `ProtocolMode::Parade`; `SdsmOnly` always uses fixed homes.
+    /// `hierarchical_barrier` also selects the two-level MPI collectives
+    /// (see `smp_width`); off reverts both to the flat algorithms.
+    pub dsm: DsmConfig,
 }
 
 impl Default for ClusterConfig {
@@ -151,22 +118,10 @@ impl Default for ClusterConfig {
             net: NetProfile::clan_via(),
             time: TimeSource::ThreadCpu { scale: 60.0 },
             node_speed: None,
-            pool_bytes: 64 << 20,
-            small_threshold: 256,
-            update_strategy: UpdateStrategy::MmapFile,
-            lock_kind: LockKind::Queued,
-            home_policy: None,
-            batch_diffs: true,
-            max_fetch_range: 16,
             chaos: ChaosProfile::from_env(),
-            hierarchical_collectives: true,
             smp_width: 1,
             task_scheduler: SchedConfig::default(),
-            page_shards: 16,
-            stride_prefetch: true,
-            prefetch_depth: 4,
-            prefetch_mispredict_budget: 4,
-            proto_select: ProtoSelect::Adaptive,
+            dsm: DsmConfig::default(),
         }
     }
 }
@@ -181,30 +136,15 @@ impl ClusterConfig {
         self.nodes * self.threads_per_node()
     }
 
-    pub fn effective_home_policy(&self) -> HomePolicy {
-        self.home_policy.unwrap_or(match self.protocol {
-            ProtocolMode::Parade => HomePolicy::Migratory,
-            ProtocolMode::SdsmOnly => HomePolicy::Fixed,
-        })
-    }
-
     /// The per-node DSM configuration this cluster config implies.
     pub fn dsm_config(&self) -> DsmConfig {
         DsmConfig {
-            pool_bytes: self.pool_bytes,
-            home_policy: self.effective_home_policy(),
-            lock_kind: self.lock_kind,
-            update_strategy: self.update_strategy,
             comm: self.exec.comm_costs(),
-            small_threshold: self.small_threshold,
-            batch_diffs: self.batch_diffs,
-            max_fetch_range: self.max_fetch_range,
-            hierarchical_barrier: self.hierarchical_collectives,
-            page_shards: self.page_shards,
-            stride_prefetch: self.stride_prefetch,
-            prefetch_depth: self.prefetch_depth,
-            prefetch_mispredict_budget: self.prefetch_mispredict_budget,
-            proto_select: self.proto_select,
+            home_policy: match self.protocol {
+                ProtocolMode::Parade => self.dsm.home_policy,
+                ProtocolMode::SdsmOnly => HomePolicy::Fixed,
+            },
+            ..self.dsm
         }
     }
 
@@ -236,6 +176,7 @@ impl ClusterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parade_dsm::ProtoSelect;
 
     #[test]
     fn exec_presets() {
@@ -249,13 +190,45 @@ mod tests {
     }
 
     #[test]
-    fn protocol_mode_drives_home_policy() {
+    fn dsm_config_derives_from_cluster_config() {
+        let dsm = DsmConfig {
+            pool_bytes: 1 << 20,
+            page_shards: 4,
+            batch_diffs: false,
+            proto_select: ProtoSelect::AllUpdate,
+            stride_prefetch: false,
+            hierarchical_barrier: false,
+            ..DsmConfig::default()
+        };
+        let custom = ExecConfig::Custom {
+            threads_per_node: 3,
+            comm: CommCosts::shared_cpu_light(),
+        };
+        for exec in ExecConfig::PAPER_CONFIGS.into_iter().chain([custom]) {
+            let c = ClusterConfig {
+                exec,
+                dsm,
+                ..ClusterConfig::default()
+            };
+            // Every DSM field but `comm` passes through unchanged.
+            assert_eq!(
+                c.dsm_config(),
+                DsmConfig {
+                    comm: exec.comm_costs(),
+                    ..dsm
+                }
+            );
+        }
+
         let mut c = ClusterConfig::default();
-        assert_eq!(c.effective_home_policy(), HomePolicy::Migratory);
+        assert_eq!(c.dsm_config().home_policy, HomePolicy::Migratory);
+        c.dsm.home_policy = HomePolicy::Fixed;
+        assert_eq!(c.dsm_config().home_policy, HomePolicy::Fixed);
         c.protocol = ProtocolMode::SdsmOnly;
-        assert_eq!(c.effective_home_policy(), HomePolicy::Fixed);
-        c.home_policy = Some(HomePolicy::Migratory);
-        assert_eq!(c.effective_home_policy(), HomePolicy::Migratory);
+        for policy in [HomePolicy::Migratory, HomePolicy::Fixed] {
+            c.dsm.home_policy = policy;
+            assert_eq!(c.dsm_config().home_policy, HomePolicy::Fixed);
+        }
     }
 
     #[test]

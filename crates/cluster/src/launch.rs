@@ -164,7 +164,8 @@ where
     // shared-memory combine state, so every rank's communicator must share
     // it. An all-singleton topology keeps the flat algorithms.
     let topo = cfg
-        .hierarchical_collectives
+        .dsm
+        .hierarchical_barrier
         .then(|| Arc::new(cfg.collective_topology()));
     let comm_threads: Vec<_> = dsms
         .iter()
@@ -243,15 +244,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parade_dsm::DsmConfig;
     use parade_mpi::ReduceOp;
     use parade_net::NetProfile;
 
     fn tiny(nodes: usize) -> ClusterConfig {
         ClusterConfig {
             nodes,
-            pool_bytes: 64 * parade_dsm::PAGE_SIZE,
             net: NetProfile::zero(),
             time: parade_net::TimeSource::Manual,
+            dsm: DsmConfig {
+                pool_bytes: 64 * parade_dsm::PAGE_SIZE,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         }
     }

@@ -212,7 +212,7 @@ mod tests {
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
+            .dsm(|d| d.pool_bytes = 256 * parade_dsm::PAGE_SIZE)
             .task_scheduler(sched)
             .build()
             .unwrap()

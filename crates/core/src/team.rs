@@ -361,21 +361,9 @@ impl ClusterBuilder {
         self
     }
 
-    pub fn pool_bytes(mut self, b: usize) -> Self {
-        self.cfg.pool_bytes = b;
-        self
-    }
-
     /// Inject faults into the fabric (see `parade_net::ChaosProfile`).
     pub fn chaos(mut self, c: parade_net::ChaosProfile) -> Self {
         self.cfg.chaos = c;
-        self
-    }
-
-    /// Toggle the two-level SMP-aware collectives (tree barrier + leader
-    /// election); on by default, off reverts to the flat algorithms.
-    pub fn hierarchical_collectives(mut self, on: bool) -> Self {
-        self.cfg.hierarchical_collectives = on;
         self
     }
 
@@ -391,27 +379,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Lock shards for page bookkeeping (`<= 1` restores one global lock).
-    pub fn page_shards(mut self, n: usize) -> Self {
-        self.cfg.page_shards = n;
-        self
-    }
-
-    /// Toggle the per-thread stride prefetcher (on by default).
-    pub fn stride_prefetch(mut self, on: bool) -> Self {
-        self.cfg.stride_prefetch = on;
-        self
-    }
-
-    /// Pages fetched ahead per confirmed stride.
-    pub fn prefetch_depth(mut self, d: usize) -> Self {
-        self.cfg.prefetch_depth = d;
-        self
-    }
-
-    /// Invalidate-vs-update protocol selection (adaptive or forced).
-    pub fn proto_select(mut self, p: parade_dsm::ProtoSelect) -> Self {
-        self.cfg.proto_select = p;
+    /// Edit the per-node DSM configuration in place (see
+    /// [`ClusterConfig::dsm`]), e.g. `.dsm(|d| d.pool_bytes = 8 << 20)`.
+    pub fn dsm(mut self, f: impl FnOnce(&mut parade_dsm::DsmConfig)) -> Self {
+        f(&mut self.cfg.dsm);
         self
     }
 
@@ -633,7 +604,7 @@ mod tests {
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
+            .dsm(|d| d.pool_bytes = 256 * parade_dsm::PAGE_SIZE)
             .build()
             .unwrap()
     }
@@ -727,7 +698,7 @@ mod tests {
                 .protocol(mode)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(256 * parade_dsm::PAGE_SIZE)
+                .dsm(|d| d.pool_bytes = 256 * parade_dsm::PAGE_SIZE)
                 .build()
                 .unwrap();
             let got = c.run(|g| {
@@ -753,7 +724,7 @@ mod tests {
                 .protocol(mode)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(256 * parade_dsm::PAGE_SIZE)
+                .dsm(|d| d.pool_bytes = 256 * parade_dsm::PAGE_SIZE)
                 .build()
                 .unwrap();
             let got = c.run(move |g| {
@@ -778,7 +749,7 @@ mod tests {
                 .protocol(mode)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(256 * parade_dsm::PAGE_SIZE)
+                .dsm(|d| d.pool_bytes = 256 * parade_dsm::PAGE_SIZE)
                 .build()
                 .unwrap();
             let execs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parade_net::{Fabric, NetProfile, VClock};
 
-use crate::config::{DsmConfig, HomePolicy, LockKind, UpdateStrategy};
+use crate::config::{DsmConfig, HomePolicy, UpdateStrategy};
 use crate::engine::Dsm;
 use crate::page::{PageState, PAGE_SIZE};
 use crate::server::spawn_comm_thread;
@@ -386,35 +386,6 @@ fn dsm_lock_protects_shared_counter() {
 }
 
 #[test]
-fn polling_lock_also_correct_and_counts_polls() {
-    let cfg = DsmConfig {
-        lock_kind: LockKind::Polling {
-            interval: parade_net::VTime::from_micros(50),
-        },
-        ..small_cfg()
-    };
-    let n = 3;
-    let out = run_nodes(n, cfg, NetProfile::zero(), move |d, clk| {
-        let r = alloc_on(&d, 64);
-        d.barrier(clk);
-        for _ in 0..5 {
-            d.lock_acquire(3, clk);
-            let v = d.read::<i64>(r, 0, clk);
-            d.write::<i64>(r, 0, v + 1, clk);
-            d.lock_release(3, clk);
-        }
-        d.barrier(clk);
-        (d.read::<i64>(r, 0, clk), d.stats.snapshot().lock_polls)
-    });
-    let total_polls: u64 = out.iter().map(|(_, p)| p).sum();
-    for (v, _) in &out {
-        assert_eq!(*v, 15);
-    }
-    // With three contending nodes there must be some busy-wait traffic.
-    assert!(total_polls > 0, "expected poll retries under contention");
-}
-
-#[test]
 fn concurrent_faults_on_one_node_fetch_once() {
     // Two threads of the same node fault the same page simultaneously: the
     // TRANSIENT/BLOCKED machinery must coalesce them into a single fetch.
@@ -774,10 +745,12 @@ fn contiguous_fetches_coalesce_into_one_range_request() {
 
 #[test]
 fn range_fetch_disabled_falls_back_to_per_page() {
+    // `NaiveUnsafe` is the one configuration that still faults a bulk read
+    // page by page.
     const N: usize = 5;
     let cfg = DsmConfig {
         home_policy: HomePolicy::Fixed,
-        max_fetch_range: 1,
+        update_strategy: UpdateStrategy::NaiveUnsafe,
         ..small_cfg()
     };
     let out = run_nodes(2, cfg, NetProfile::zero(), |d, clk| {

@@ -16,21 +16,6 @@ pub enum HomePolicy {
     Fixed,
 }
 
-/// Distributed lock implementation (baseline SDSM synchronization path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// Queueing lock at the manager: requests block at the manager and are
-    /// granted FIFO on release.
-    Queued,
-    /// Busy-wait polling lock: the requester re-polls the manager until
-    /// granted. Reproduces the pathological 2-node `single` result the
-    /// paper observed with KDSM (Figure 7: "busy waiting to get the lock").
-    Polling {
-        /// Virtual time between polls.
-        interval: VTime,
-    },
-}
-
 /// Strategy for solving the atomic page update problem (§5.1).
 ///
 /// In a multi-threaded SDSM, making a page writable in order to install a
@@ -86,7 +71,7 @@ impl UpdateStrategy {
 /// departure prescribes for a written page's cached copies.
 ///
 /// The paper fixes the update/invalidate split at a 256 B size threshold
-/// (`small_threshold`). `Adaptive` makes that split dynamic per page: the
+/// (§5.2.1). `Adaptive` makes that split dynamic per page: the
 /// barrier root tracks each page's writer/reader history in virtual time
 /// and flips pages between the invalidate protocol (HLRC write notices)
 /// and an update protocol (the home broadcasts the merged page to its
@@ -170,23 +155,16 @@ pub struct DsmConfig {
     /// the OS).
     pub pool_bytes: usize,
     pub home_policy: HomePolicy,
-    pub lock_kind: LockKind,
+    /// How fetched pages are installed. Every safe strategy coalesces a
+    /// bulk read's misses into range fetches and may prefetch;
+    /// `NaiveUnsafe` installs page by page.
     pub update_strategy: UpdateStrategy,
     pub comm: CommCosts,
-    /// Data structures at or below this size use the message-passing
-    /// update protocol instead of HLRC (§5.2.1; 256 bytes on the paper's
-    /// cluster).
-    pub small_threshold: usize,
     /// Group the diffs of a release by home and ship one `DiffBatch` per
     /// destination with a single ack (the HLRC few-messages argument,
     /// §5.2). Off reverts to one `Diff` message + ack per dirty page —
     /// kept as a measurable baseline for the release-path benchmarks.
     pub batch_diffs: bool,
-    /// Upper bound on pages coalesced into one `ReqPageRange` fetch when a
-    /// bulk access faults a run of contiguous pages with a common home
-    /// (Helmholtz/CG fault storms). `<= 1` disables coalescing; range
-    /// fetches also require a safe [`UpdateStrategy`].
-    pub max_fetch_range: usize,
     /// Aggregate barrier arrivals up a binomial tree of communication
     /// threads (root = node 0) instead of every node messaging the master
     /// directly. The critical path shrinks from N serial services at node 0
@@ -199,16 +177,11 @@ pub struct DsmConfig {
     /// Rounded up to a power of two; `1` reverts to the single-lock path.
     pub page_shards: usize,
     /// Feed read-fault addresses to a per-thread stride predictor and
-    /// speculatively fetch ahead of the fault stream (bounded by
-    /// `max_fetch_range` and `prefetch_mispredict_budget`). Requires a
-    /// safe [`UpdateStrategy`], like range coalescing.
+    /// speculatively fetch ahead of the fault stream (`prefetch::DEPTH`
+    /// pages per confirmed stride, disabled per thread after
+    /// `prefetch::MISPREDICT_BUDGET` breaks). Requires a safe
+    /// [`UpdateStrategy`], like range coalescing.
     pub stride_prefetch: bool,
-    /// Pages fetched ahead per confirmed prediction (further capped by
-    /// `max_fetch_range`).
-    pub prefetch_depth: usize,
-    /// Consecutive-fault mispredictions tolerated before a thread's
-    /// predictor is disabled for the rest of its life (accuracy guard).
-    pub prefetch_mispredict_budget: u32,
     /// Per-page invalidate/update protocol selection (see [`ProtoSelect`]).
     pub proto_select: ProtoSelect,
 }
@@ -218,17 +191,12 @@ impl Default for DsmConfig {
         DsmConfig {
             pool_bytes: 64 << 20,
             home_policy: HomePolicy::Migratory,
-            lock_kind: LockKind::Queued,
             update_strategy: UpdateStrategy::MmapFile,
             comm: CommCosts::dedicated_cpu(),
-            small_threshold: 256,
             batch_diffs: true,
-            max_fetch_range: 16,
             hierarchical_barrier: true,
             page_shards: 16,
             stride_prefetch: true,
-            prefetch_depth: 4,
-            prefetch_mispredict_budget: 4,
             proto_select: ProtoSelect::Adaptive,
         }
     }
@@ -241,7 +209,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = DsmConfig::default();
-        assert_eq!(c.small_threshold, 256);
         assert_eq!(c.home_policy, HomePolicy::Migratory);
         assert!(c.update_strategy.is_safe());
     }

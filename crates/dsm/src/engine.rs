@@ -14,14 +14,18 @@ use parade_net::{Endpoint, Match, MsgClass, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
 use crate::bufpool::PageBuf;
-use crate::config::{DsmConfig, LockKind};
+use crate::config::DsmConfig;
 use crate::diff::Diff;
 use crate::msg::{DsmMsg, DsmReply, REPLY_TAG_BASE};
 use crate::page::{PageId, PageState, PAGE_SIZE};
-use crate::prefetch::{Prediction, StridePredictor};
+use crate::prefetch::{self, Prediction, StridePredictor};
 use crate::smalldata::SmallRegistry;
 use crate::stats::DsmStats;
 use crate::store::{AllocError, PageShards, RawPool, RegionAllocator, RegionHandle};
+
+/// Upper bound on contiguous same-home pages coalesced into one
+/// `ReqPageRange` fetch (Helmholtz/CG fault storms).
+const MAX_FETCH_RANGE: usize = 16;
 
 /// Distinguishes `Dsm` instances so a thread's cached predictor never
 /// carries over between clusters sharing an OS thread (tests spawn many).
@@ -379,13 +383,13 @@ impl Dsm {
 
     /// Fault in every page covering `start .. start+len` for reading.
     ///
-    /// With `max_fetch_range > 1` (and a safe update strategy) the misses
-    /// are fetched split-phase, in one batch:
+    /// With a safe update strategy the misses are fetched split-phase, in
+    /// one batch (`NaiveUnsafe` faults page by page):
     /// 1. *claim* — every INVALID remote page is marked TRANSIENT (never
     ///    blocks); pages mid-update by a sibling thread, or homed here, go
     ///    on a skip list;
     /// 2. *issue* — one request per maximal contiguous same-home run
-    ///    (capped at `max_fetch_range`) goes to every home at once,
+    ///    (capped at `MAX_FETCH_RANGE`) goes to every home at once,
     ///    together with the stride predictor's prefetch runs;
     /// 3. *complete* — every reply is received, installed and published
     ///    READ_ONLY;
@@ -397,8 +401,7 @@ impl Dsm {
     /// on a sibling's page only after its own requests are answered, and
     /// homes answer without waiting on any application thread.
     pub fn ensure_readable(&self, start: usize, len: usize, clock: &mut VClock) {
-        let max_range = self.cfg.max_fetch_range;
-        if max_range <= 1 || !self.cfg.update_strategy.is_safe() {
+        if !self.cfg.update_strategy.is_safe() {
             for page in crate::page::pages_covering(start, len) {
                 if self.pages[page].fast.load(Ordering::Acquire) < PageState::ReadOnly as u8 {
                     self.read_fault(page, clock);
@@ -429,7 +432,7 @@ impl Dsm {
             // is never INVALID; the fast flag must have been racing with a
             // migration, so such a page takes the ordinary path.
             let mut claimed = 0usize;
-            while home != self.node && i < pages.len() && claimed < max_range {
+            while home != self.node && i < pages.len() && claimed < MAX_FETCH_RANGE {
                 let p = pages[i];
                 if p != first + claimed || self.home_of(p) != home {
                     break;
@@ -482,10 +485,7 @@ impl Dsm {
                 _ => {
                     *slot = Some(ThreadPrefetch {
                         dsm: self.instance,
-                        pred: StridePredictor::new(
-                            self.cfg.prefetch_depth,
-                            self.cfg.prefetch_mispredict_budget,
-                        ),
+                        pred: StridePredictor::new(prefetch::DEPTH, prefetch::MISPREDICT_BUDGET),
                         outstanding: HashSet::new(),
                     });
                     slot.as_mut().expect("just installed")
@@ -529,7 +529,7 @@ impl Dsm {
     fn claim_prefetch(&self, access: PageId, stride: isize, count: usize) -> Vec<(PageId, usize)> {
         let npages = self.pages.len();
         let mut claimed: Vec<PageId> = Vec::new();
-        for k in 1..=count.min(self.cfg.max_fetch_range) as isize {
+        for k in 1..=count as isize {
             let p = access as isize + stride * k;
             if p < 0 || p as usize >= npages {
                 break;
@@ -1159,37 +1159,24 @@ impl Dsm {
         trace::begin_arg(EventKind::DsmLock, lock, clock.now());
         let mgr = self.lock_manager(lock);
         let last_seen = self.lock_seen.lock().get(&lock).copied().unwrap_or(0);
-        let polling = matches!(self.cfg.lock_kind, LockKind::Polling { .. });
-        loop {
-            let tag = self.next_reply_tag();
-            let msg = DsmMsg::LockAcq {
-                lock,
-                node: self.node,
-                reply_tag: tag,
-                last_seen,
-                polling,
-            };
-            self.ep.send(mgr, MsgClass::Dsm, 0, msg.encode(), clock);
-            let pkt = self
-                .ep
-                .recv(MsgClass::Ctl, Match::tagged(tag), clock)
-                .expect("lock grant after shutdown");
-            match DsmReply::decode(&pkt.payload) {
-                DsmReply::LockGrant { cur_seq, notices } => {
-                    self.apply_lock_notices(lock, cur_seq, &notices, clock);
-                    trace::end(EventKind::DsmLock, clock.now());
-                    return;
-                }
-                DsmReply::LockBusy => {
-                    self.stats.lock_polls.fetch_add(1, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmLockPoll, lock, clock.now());
-                    if let LockKind::Polling { interval } = self.cfg.lock_kind {
-                        clock.charge_comm(interval);
-                    }
-                    // retry
-                }
-                other => unreachable!("unexpected lock reply {other:?}"),
+        let tag = self.next_reply_tag();
+        let msg = DsmMsg::LockAcq {
+            lock,
+            node: self.node,
+            reply_tag: tag,
+            last_seen,
+        };
+        self.ep.send(mgr, MsgClass::Dsm, 0, msg.encode(), clock);
+        let pkt = self
+            .ep
+            .recv(MsgClass::Ctl, Match::tagged(tag), clock)
+            .expect("lock grant after shutdown");
+        match DsmReply::decode(&pkt.payload) {
+            DsmReply::LockGrant { cur_seq, notices } => {
+                self.apply_lock_notices(lock, cur_seq, &notices, clock);
+                trace::end(EventKind::DsmLock, clock.now());
             }
+            other => unreachable!("unexpected lock reply {other:?}"),
         }
     }
 

@@ -102,14 +102,13 @@ pub enum DsmMsg {
         writers: Vec<(PageId, Vec<usize>)>,
         readers: Vec<(PageId, Vec<usize>)>,
     },
-    /// Acquire a distributed lock (baseline SDSM path). `polling` requests
-    /// an immediate grant-or-busy answer instead of queueing.
+    /// Acquire a distributed lock (baseline SDSM path); the manager
+    /// queues the request until the lock is free.
     LockAcq {
         lock: u64,
         node: usize,
         reply_tag: u64,
         last_seen: u64,
-        polling: bool,
     },
     /// Release a distributed lock, carrying write notices for the pages
     /// modified in the critical section.
@@ -283,14 +282,12 @@ impl DsmMsg {
                 node,
                 reply_tag,
                 last_seen,
-                polling,
             } => {
                 w.u8(K_LOCK_ACQ)
                     .u64(*lock)
                     .u32(*node as u32)
                     .u64(*reply_tag)
-                    .u64(*last_seen)
-                    .u8(*polling as u8);
+                    .u64(*last_seen);
             }
             DsmMsg::LockRel {
                 lock,
@@ -429,13 +426,12 @@ impl DsmMsg {
                 })
             }
             K_LOCK_ACQ => {
-                need(&r, 29, "LockAcq body")?;
+                need(&r, 28, "LockAcq body")?;
                 Ok(DsmMsg::LockAcq {
                     lock: r.u64(),
                     node: r.u32() as usize,
                     reply_tag: r.u64(),
                     last_seen: r.u64(),
-                    polling: r.u8() != 0,
                 })
             }
             K_LOCK_REL => {
@@ -467,7 +463,6 @@ const R_PAGE_DATA: u8 = 1;
 const R_DIFF_ACK: u8 = 2;
 const R_BARRIER_DEPART: u8 = 3;
 const R_LOCK_GRANT: u8 = 4;
-const R_LOCK_BUSY: u8 = 5;
 const R_DIFF_BATCH_ACK: u8 = 6;
 const R_PAGE_RANGE_DATA: u8 = 7;
 
@@ -536,7 +531,6 @@ pub enum DsmReply {
         cur_seq: u64,
         notices: Vec<PageId>,
     },
-    LockBusy,
 }
 
 impl DsmReply {
@@ -575,9 +569,6 @@ impl DsmReply {
                 for p in notices {
                     w.u64(*p as u64);
                 }
-            }
-            DsmReply::LockBusy => {
-                w.u8(R_LOCK_BUSY);
             }
         }
         w.finish()
@@ -626,7 +617,6 @@ impl DsmReply {
                 let notices = (0..n).map(|_| r.u64() as PageId).collect();
                 DsmReply::LockGrant { cur_seq, notices }
             }
-            R_LOCK_BUSY => DsmReply::LockBusy,
             k => unreachable!("bad dsm reply kind {k}"),
         }
     }
@@ -701,7 +691,6 @@ mod tests {
                 node: 0,
                 reply_tag: REPLY_TAG_BASE + 2,
                 last_seen: 11,
-                polling: true,
             },
             DsmMsg::LockRel {
                 lock: 6,
@@ -816,7 +805,6 @@ mod tests {
                 cur_seq: 5,
                 notices: vec![4, 5],
             },
-            DsmReply::LockBusy,
         ];
         for r in replies {
             assert_eq!(DsmReply::decode(&r.encode()), r);

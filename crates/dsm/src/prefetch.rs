@@ -29,6 +29,13 @@ use crate::page::PageId;
 /// Identical consecutive deltas required to confirm a stride.
 pub const CONFIRM: u32 = 2;
 
+/// Pages fetched ahead per confirmed prediction.
+pub const DEPTH: usize = 4;
+
+/// Consecutive confirmed-stride breaks tolerated before a thread's
+/// predictor is disabled for the rest of its life (accuracy guard).
+pub const MISPREDICT_BUDGET: u32 = 4;
+
 /// What the engine should do after recording one read fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prediction {
@@ -51,7 +58,8 @@ pub struct StridePredictor {
     streak: u32,
     /// Mispredictions of a confirmed stride so far.
     mispredicts: u32,
-    /// Budget from `DsmConfig::prefetch_mispredict_budget`.
+    /// Mispredicts tolerated before disabling (the engine passes
+    /// [`MISPREDICT_BUDGET`]).
     budget: u32,
     /// Pages to fetch ahead per prediction.
     depth: usize,

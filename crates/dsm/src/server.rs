@@ -367,7 +367,6 @@ impl Dsm {
                 node,
                 reply_tag,
                 last_seen,
-                polling,
             } => {
                 let mut st = self.server.lock();
                 let ls = st.locks.entry(lock).or_default();
@@ -376,9 +375,6 @@ impl Dsm {
                     let grant = make_grant(ls, last_seen);
                     drop(st);
                     self.reply(node, reply_tag, grant, srv);
-                } else if polling {
-                    drop(st);
-                    self.reply(node, reply_tag, DsmReply::LockBusy, srv);
                 } else {
                     ls.queue.push_back(Waiter {
                         node,

@@ -74,8 +74,6 @@ counters! {
     barriers,
     /// Distributed lock acquisitions.
     lock_acquires,
-    /// Poll rounds spent busy-waiting for locks (Polling variant).
-    lock_polls,
     /// Requests serviced by this node's communication thread.
     serviced_requests,
     /// Full pages pushed to migrated homes.
@@ -93,7 +91,7 @@ counters! {
     /// without faulting.
     prefetch_hits,
     /// Confirmed-stride predictions broken by the next fault; reaching
-    /// `prefetch_mispredict_budget` disables that thread's predictor.
+    /// `prefetch::MISPREDICT_BUDGET` disables that thread's predictor.
     prefetch_mispredicts,
     /// Merged pages pushed to sharers under the update protocol (also
     /// counted in `pushes_sent`).

@@ -329,7 +329,7 @@ impl std::fmt::Display for AllocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shared pool exhausted: requested {} bytes, {} available (raise ClusterConfig::pool_bytes)",
+            "shared pool exhausted: requested {} bytes, {} available (raise DsmConfig::pool_bytes)",
             self.requested, self.available
         )
     }

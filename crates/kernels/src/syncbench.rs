@@ -104,6 +104,7 @@ mod tests {
     use super::*;
     use parade_cluster::{ExecConfig, ProtocolMode};
     use parade_core::{NetProfile, TimeSource};
+    use parade_dsm::DsmConfig;
 
     fn cfg(nodes: usize, mode: ProtocolMode) -> ClusterConfig {
         ClusterConfig {
@@ -112,7 +113,10 @@ mod tests {
             protocol: mode,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 256 * parade_dsm::PAGE_SIZE,
+            dsm: DsmConfig {
+                pool_bytes: 256 * parade_dsm::PAGE_SIZE,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         }
     }

@@ -65,7 +65,7 @@ pub fn run_attempt(
         .threads_per_node(1)
         .net(NetProfile::clan_via())
         .time(TimeSource::Manual)
-        .pool_bytes(64 * parade_dsm::PAGE_SIZE)
+        .dsm(|d| d.pool_bytes = 64 * parade_dsm::PAGE_SIZE)
         .chaos(chaos)
         .build()
         .expect("serve cluster config");

@@ -13,8 +13,11 @@ use parade::prelude::*;
 fn run(policy: HomePolicy) -> (u64, u64, u64, VTime) {
     let cfg = ClusterConfig {
         nodes: 4,
-        home_policy: Some(policy),
         net: NetProfile::clan_via(),
+        dsm: DsmConfig {
+            home_policy: policy,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let cluster = Cluster::from_config(cfg);

@@ -89,7 +89,7 @@ pub use parade_translator as translator;
 pub mod prelude {
     pub use parade_cluster::{ClusterConfig, ExecConfig, ProtocolMode};
     pub use parade_core::{Cluster, MasterCtx, RunReport, ThreadCtx};
-    pub use parade_dsm::{LockKind, ProtoSelect, RegionHandle, SmallHandle};
+    pub use parade_dsm::{DsmConfig, ProtoSelect, RegionHandle, SmallHandle};
     pub use parade_mpi::ReduceOp;
     pub use parade_net::{NetProfile, VTime};
 }

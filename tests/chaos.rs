@@ -340,7 +340,7 @@ fn cg_class_s_bit_identical_with_two_level_collectives_under_chaos() {
             .threads_per_node(2)
             .net(NetProfile::clan_via())
             .time(TimeSource::Manual)
-            .hierarchical_collectives(false)
+            .dsm(|d| d.hierarchical_barrier = false)
             .build()
             .expect("cluster");
         let hier_lossy = Cluster::builder()
@@ -386,7 +386,7 @@ fn protocol_modes_are_bit_identical_under_lossy_chaos() {
                 .net(NetProfile::clan_via())
                 .time(TimeSource::Manual)
                 .chaos(chaos)
-                .proto_select(proto)
+                .dsm(|d| d.proto_select = proto)
                 .build()
                 .expect("cluster")
         };

@@ -54,7 +54,7 @@ fn cluster() -> Cluster {
         .protocol(ProtocolMode::Parade)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(8 << 20)
+        .dsm(|d| d.pool_bytes = 8 << 20)
         .build()
         .expect("cluster config")
 }

@@ -17,7 +17,7 @@ fn cluster(nodes: usize, tpn: usize, mode: ProtocolMode) -> Cluster {
         .protocol(mode)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(16 << 20)
+        .dsm(|d| d.pool_bytes = 16 << 20)
         .build()
         .unwrap()
 }
@@ -52,7 +52,10 @@ fn cg_pure_mpi_baseline_verifies() {
         nodes: 4,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
-        pool_bytes: 4 << 20,
+        dsm: DsmConfig {
+            pool_bytes: 4 << 20,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let (r, vt) = cg_mpi(cfg, CgClass::S);
@@ -69,8 +72,11 @@ fn cg_migratory_home_reduces_traffic() {
             exec: ExecConfig::OneThreadTwoCpu,
             net: NetProfile::zero(),
             time: TimeSource::Manual,
-            home_policy: Some(policy),
-            pool_bytes: 16 << 20,
+            dsm: DsmConfig {
+                home_policy: policy,
+                pool_bytes: 16 << 20,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         };
         let (r, report) = cg_parade(&Cluster::from_config(cfg), CgClass::S);
@@ -167,7 +173,10 @@ fn parade_beats_sdsm_on_synchronization_heavy_run() {
             protocol: mode,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 4 << 20,
+            dsm: DsmConfig {
+                pool_bytes: 4 << 20,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         };
         let cluster = Cluster::from_config(cfg);
@@ -199,7 +208,10 @@ fn one_thread_one_cpu_is_slowest_on_communication_heavy_work() {
             exec,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 8 << 20,
+            dsm: DsmConfig {
+                pool_bytes: 8 << 20,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         };
         let cluster = Cluster::from_config(cfg);
@@ -281,7 +293,10 @@ fn heterogeneous_node_speeds_are_supported() {
         nodes: 2,
         node_speed: Some(ClusterConfig::paper_node_speeds(2)),
         net: NetProfile::zero(),
-        pool_bytes: 4 << 20,
+        dsm: DsmConfig {
+            pool_bytes: 4 << 20,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let cluster = Cluster::from_config(cfg);
@@ -301,8 +316,10 @@ fn collective_message_count(nodes: usize, tpn: usize, hierarchical: bool) -> u64
         .threads_per_node(tpn)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(4 << 20)
-        .hierarchical_collectives(hierarchical)
+        .dsm(|d| {
+            d.pool_bytes = 4 << 20;
+            d.hierarchical_barrier = hierarchical;
+        })
         .build()
         .unwrap();
     let (_, report) = c.run_with_report(|g| {

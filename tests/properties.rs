@@ -298,7 +298,7 @@ prop!(cases = 64, fn interpreter_sums_match_rust((n, scale) in |r: &mut TestRng|
         .threads_per_node(2)
         .net(NetProfile::zero())
         .time(parade::net::TimeSource::Manual)
-        .pool_bytes(256 * PAGE_SIZE)
+        .dsm(|d| d.pool_bytes = 256 * PAGE_SIZE)
         .build()
         .unwrap();
     let out = parade::translator::Interp::new(prog).run(&cluster).unwrap();
@@ -465,8 +465,7 @@ prop!(cases = 6, fn cluster_collectives_match_with_hierarchy_on_and_off(
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(parade::net::TimeSource::Manual)
-            .pool_bytes(256 * PAGE_SIZE)
-            .hierarchical_collectives(hierarchical)
+            .dsm(|d| { d.pool_bytes = 256 * PAGE_SIZE; d.hierarchical_barrier = hierarchical; })
             .smp_width(width)
             .build()
             .unwrap();
@@ -520,9 +519,11 @@ fn proto_cluster(
         .threads_per_node(tpn)
         .net(NetProfile::zero())
         .time(parade::net::TimeSource::Manual)
-        .pool_bytes(256 * PAGE_SIZE)
-        .proto_select(proto)
-        .stride_prefetch(prefetch)
+        .dsm(|d| {
+            d.pool_bytes = 256 * PAGE_SIZE;
+            d.proto_select = proto;
+            d.stride_prefetch = prefetch;
+        })
         .build()
         .unwrap()
 }
@@ -642,7 +643,7 @@ fn kernels_are_bit_identical_across_protocol_modes() {
                     .threads_per_node(2)
                     .net(NetProfile::zero())
                     .time(parade::net::TimeSource::Manual)
-                    .proto_select(m)
+                    .dsm(|d| d.proto_select = m)
                     .build()
                     .unwrap()
             };
@@ -691,7 +692,7 @@ prop!(cases = 12, fn hierarchical_reduce_equals_flat_fold((nodes, tpn, vals) in 
         .threads_per_node(tpn)
         .net(NetProfile::zero())
         .time(parade::net::TimeSource::Manual)
-        .pool_bytes(256 * PAGE_SIZE)
+        .dsm(|d| d.pool_bytes = 256 * PAGE_SIZE)
         .build()
         .unwrap();
     let vals2 = vals.clone();

@@ -14,7 +14,7 @@ fn cluster(nodes: usize, tpn: usize, mode: ProtocolMode) -> Cluster {
         .protocol(mode)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(8 << 20)
+        .dsm(|d| d.pool_bytes = 8 << 20)
         .build()
         .unwrap()
 }
@@ -161,8 +161,10 @@ fn sharded_page_store_matches_single_lock() {
             .threads_per_node(2)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(8 << 20)
-            .page_shards(shards)
+            .dsm(|d| {
+                d.pool_bytes = 8 << 20;
+                d.page_shards = shards;
+            })
             .build()
             .unwrap();
         c.run_with_report(move |g| {
@@ -233,8 +235,10 @@ fn fault_racing_same_page_batch_merge_keeps_words_whole() {
                 .threads_per_node(2)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(8 << 20)
-                .page_shards(shards)
+                .dsm(|d| {
+                    d.pool_bytes = 8 << 20;
+                    d.page_shards = shards;
+                })
                 .build()
                 .unwrap();
             let bad = c.run(move |g| {
