@@ -159,6 +159,50 @@ fn home_migrates_to_single_writer() {
     }
 }
 
+/// A launch after a dropped one of the same pool size reuses its page
+/// tables; every entry must come back in the initial state, however the
+/// previous run left it (here: dirty with a twin, and migrated).
+#[test]
+fn reused_page_tables_start_fresh() {
+    // A pool size no other test uses, so the second launch finds the
+    // first one's tables unless a concurrent launch cleared them.
+    const PAGES: usize = 61;
+    let cfg = DsmConfig {
+        pool_bytes: PAGES * PAGE_SIZE,
+        ..DsmConfig::default()
+    };
+    run_nodes(2, cfg, NetProfile::zero(), |d, clk| {
+        let r = alloc_on(&d, 4 * PAGE_SIZE);
+        d.barrier(clk);
+        if d.node() == 1 {
+            d.write::<i64>(r, 0, 1, clk);
+        }
+        d.barrier(clk);
+        if d.node() == 1 {
+            d.write::<i64>(r, PAGE_SIZE, 2, clk);
+        }
+    });
+    let fresh = run_nodes(2, cfg, NetProfile::zero(), |d, _| {
+        (0..PAGES)
+            .map(|p| {
+                let inner = d.pages[p].inner.lock();
+                let clean = inner.twin.is_none() && !inner.awaiting_push;
+                (d.page_state(p), inner.state, clean, d.home_of(p))
+            })
+            .collect::<Vec<_>>()
+    });
+    for (node, pages) in fresh.into_iter().enumerate() {
+        let init = if node == 0 {
+            PageState::ReadOnly
+        } else {
+            PageState::Invalid
+        };
+        for (p, got) in pages.into_iter().enumerate() {
+            assert_eq!(got, (init, init, true, 0), "node {node} page {p}");
+        }
+    }
+}
+
 /// Exercise barriers with overlapping multi-writer pages under both barrier
 /// implementations; migration decisions and final contents must agree, and
 /// the hierarchical virtual time must be reproducible run to run.

@@ -34,6 +34,10 @@ pub enum DecodeError {
     RunOutOfBounds { offset: u32, len: u32 },
     /// A run is not aligned to the diff word granularity.
     Misaligned { offset: u32, len: u32 },
+    /// A page run is empty or its last page overflows the page id space.
+    BadPageRun { first: u64, count: u32 },
+    /// A run-encoded page list expands past `msg::MAX_LIST_ENTRIES`.
+    ListTooLong { entries: usize },
     /// Unknown message kind byte.
     BadKind(u8),
 }
@@ -61,6 +65,18 @@ impl std::fmt::Display for DecodeError {
                 f,
                 "diff run offset {offset} len {len} not aligned to {WORD}-byte words"
             ),
+            DecodeError::BadPageRun { first, count } => {
+                write!(
+                    f,
+                    "page run of {count} pages from {first} is empty or overflows"
+                )
+            }
+            DecodeError::ListTooLong { entries } => {
+                write!(
+                    f,
+                    "page list expands to {entries} entries, past the decode cap"
+                )
+            }
             DecodeError::BadKind(k) => write!(f, "unknown message kind {k}"),
         }
     }

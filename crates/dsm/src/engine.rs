@@ -43,6 +43,40 @@ thread_local! {
     static PREFETCH: RefCell<Option<ThreadPrefetch>> = const { RefCell::new(None) };
 }
 
+/// Page tables of dropped [`Dsm`]s, kept for the next [`Dsm::new`] with the
+/// same page count. The default pool's table is 1 MiB per node, large
+/// enough that glibc's dynamic mmap threshold decides whether a fresh one
+/// is mapped and faulted in or carved from the heap, so launch cost
+/// followed the process's allocation history instead of the launch's own
+/// work. Reused tables are reset entry by entry.
+static SPARE_PAGE_TABLES: Mutex<Vec<Box<[PageMeta]>>> = Mutex::new(Vec::new());
+
+/// Most spare tables kept: enough for one 4-node launch. Every spare is
+/// idle memory until the next launch, so more would raise peak RSS.
+const SPARE_PAGE_TABLES_CAP: usize = 4;
+
+/// A page table of `npages` entries in `state`, reusing a spare if one fits.
+fn page_table(npages: usize, state: PageState) -> Box<[PageMeta]> {
+    let spare = {
+        let mut spares = SPARE_PAGE_TABLES.lock();
+        match spares.iter().position(|t| t.len() == npages) {
+            Some(i) => Some(spares.swap_remove(i)),
+            // Spares of another pool size would sit idle: free them.
+            None => {
+                spares.clear();
+                None
+            }
+        }
+    };
+    match spare {
+        Some(mut table) => {
+            table.iter_mut().for_each(|m| *m = PageMeta::new(state));
+            table
+        }
+        None => (0..npages).map(|_| PageMeta::new(state)).collect(),
+    }
+}
+
 pub(crate) struct PageMeta {
     pub(crate) inner: Mutex<PageInner>,
     pub(crate) cv: Condvar,
@@ -131,6 +165,15 @@ pub struct Dsm {
     small: SmallRegistry,
 }
 
+impl Drop for Dsm {
+    fn drop(&mut self) {
+        let mut spares = SPARE_PAGE_TABLES.lock();
+        if spares.len() < SPARE_PAGE_TABLES_CAP {
+            spares.push(std::mem::take(&mut self.pages));
+        }
+    }
+}
+
 impl Dsm {
     /// Create the DSM instance for `ep`'s node. Initially the master
     /// (node 0) is home of every page with `READ_ONLY` state; all other
@@ -144,7 +187,7 @@ impl Dsm {
         } else {
             PageState::Invalid
         };
-        let pages: Box<[PageMeta]> = (0..npages).map(|_| PageMeta::new(init_state)).collect();
+        let pages = page_table(npages, init_state);
         let homes: Box<[AtomicU32]> = (0..npages).map(|_| AtomicU32::new(0)).collect();
         Dsm {
             node,

@@ -3,8 +3,8 @@
 //! ParADE only strictly needs `MPI_Bcast` and `MPI_Allreduce` (§5.3), plus
 //! barrier for the runtime; `reduce`, `gather` and `allgather` are provided
 //! for the MPI baseline versions of the benchmarks. Algorithms are the
-//! classic tree/dissemination schemes so message counts grow as
-//! `O(P log P)` — the property that makes collectives cheaper than
+//! classic tree/dissemination/recursive-doubling schemes so message counts
+//! grow as `O(P log P)` — the property that makes collectives cheaper than
 //! lock-based SDSM synchronization as the node count grows.
 
 use parade_net::Bytes;
@@ -47,9 +47,9 @@ impl ReduceOp {
 
 // Phase labels inside one collective sequence number.
 const PH_BARRIER_BASE: u8 = 0; // rounds 0..15 (phase = round)
+const PH_ALLREDUCE_BASE: u8 = 0; // rounds 0..15 (phase = round)
 const PH_BCAST: u8 = 0;
 const PH_REDUCE: u8 = 1;
-const PH_ALLRED_BCAST: u8 = 2;
 const PH_GATHER: u8 = 3;
 
 impl Communicator {
@@ -113,7 +113,7 @@ impl Communicator {
         if let Some(t) = self.hier() {
             self.hier_bcast(t, root, buf, seq, clock);
         } else {
-            self.bcast_inner(root, buf, seq, PH_BCAST, clock);
+            self.bcast_inner(root, buf, seq, clock);
         }
         trace::end(EventKind::MpiBcast, clock.now());
     }
@@ -138,14 +138,14 @@ impl Communicator {
                 Bytes::new()
             };
             let root_pos = t.leader_position(t.leader_of(root));
-            self.leaders_bcast(t, root_pos, &mut b, seq, PH_BCAST, clock);
+            self.leaders_bcast(t, root_pos, &mut b, seq, clock);
             *buf = t.publish(rank, seq, b, clock);
         } else {
             *buf = t.collect(rank, seq, clock);
         }
     }
 
-    fn bcast_inner(&self, root: usize, buf: &mut Bytes, seq: u64, phase: u8, clock: &mut VClock) {
+    fn bcast_inner(&self, root: usize, buf: &mut Bytes, seq: u64, clock: &mut VClock) {
         let size = self.size();
         if size == 1 {
             return;
@@ -156,7 +156,7 @@ impl Communicator {
         while mask < size {
             if relrank & mask != 0 {
                 let src = (relrank - mask + root) % size;
-                *buf = self.coll_recv(src, seq, phase, clock);
+                *buf = self.coll_recv(src, seq, PH_BCAST, clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 break;
             }
@@ -166,7 +166,7 @@ impl Communicator {
         while mask > 0 {
             if relrank + mask < size {
                 let dst = (relrank + mask + root) % size;
-                self.coll_send(dst, seq, phase, buf.clone(), clock);
+                self.coll_send(dst, seq, PH_BCAST, buf.clone(), clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
             }
             mask >>= 1;
@@ -240,10 +240,14 @@ impl Communicator {
         }
     }
 
-    /// Allreduce with a user combiner: binomial reduce to rank 0 followed by
-    /// binomial broadcast (2⌈log₂ P⌉ rounds). The paper merges multiple
-    /// `reduction` clause variables into one structure and reduces them with
-    /// a user-defined operation — this is that hook.
+    /// Allreduce with a user combiner: recursive doubling over all ranks
+    /// (⌈log₂ P⌉ rounds), or — with an SMP topology — a shared-memory fold
+    /// inside each group and recursive doubling among the group leaders.
+    /// Every rank returns the same bits, associated exactly like a
+    /// binomial reduce to rank 0: `combine` need be neither commutative nor
+    /// associative. The paper merges multiple `reduction` clause variables
+    /// into one structure and reduces them with a user-defined operation —
+    /// this is that hook.
     pub fn allreduce_with(
         &self,
         buf: &mut Vec<u8>,
@@ -259,15 +263,79 @@ impl Communicator {
         trace::begin(EventKind::MpiAllreduce, clock.now());
         if let Some(t) = self.hier() {
             self.hier_allreduce(t, buf, combine, seq, clock);
-            trace::end(EventKind::MpiAllreduce, clock.now());
-            return;
+        } else {
+            let ranks: Vec<usize> = (0..self.size()).collect();
+            self.allreduce_among(&ranks, buf, combine, seq, clock);
         }
-        self.reduce_inner(0, buf, combine, seq, clock);
-        let mut b = Bytes::copy_from_slice(buf);
-        self.bcast_inner(0, &mut b, seq, PH_ALLRED_BCAST, clock);
-        buf.clear();
-        buf.extend_from_slice(&b);
         trace::end(EventKind::MpiAllreduce, clock.now());
+    }
+
+    /// Recursive-doubling allreduce among `ranks` (which must contain this
+    /// rank), addressed by position in the list.
+    ///
+    /// In the round with `mask`, each aligned block of `2·mask` positions
+    /// combines its lower half ⊕ its upper half — lower first, the
+    /// association a binomial reduce to position 0 uses — so after the
+    /// last round every position holds the bits the binomial fold would.
+    /// A lower position whose partner `pos + mask` lies past the end
+    /// receives the upper half's value from the stand-in
+    /// `upper_start + (pos − lo) % upper_len` instead; it sends nothing,
+    /// since the upper half already hears from its real partners.
+    fn allreduce_among(
+        &self,
+        ranks: &[usize],
+        buf: &mut Vec<u8>,
+        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
+        seq: u64,
+        clock: &mut VClock,
+    ) {
+        let l = ranks.len();
+        let pos = ranks
+            .iter()
+            .position(|&r| r == self.rank())
+            .expect("caller is in the rank list");
+        let mut round: u8 = 0;
+        let mut mask = 1usize;
+        while mask < l {
+            let phase = PH_ALLREDUCE_BASE + round;
+            let lo = pos & !(2 * mask - 1);
+            let upper = lo + mask;
+            if upper < l {
+                let upper_len = (upper + mask).min(l) - upper;
+                if pos < upper {
+                    let partner = pos + mask;
+                    let src = if partner < l {
+                        self.coll_send(
+                            ranks[partner],
+                            seq,
+                            phase,
+                            Bytes::copy_from_slice(buf),
+                            clock,
+                        );
+                        partner
+                    } else {
+                        upper + (pos - lo) % upper_len
+                    };
+                    let other = self.coll_recv(ranks[src], seq, phase, clock);
+                    combine(buf, &other);
+                } else {
+                    // Serve the partner, then every lower position this one
+                    // stands in for.
+                    let mine = Bytes::copy_from_slice(buf);
+                    for dst in (pos - mask..upper).step_by(upper_len) {
+                        self.coll_send(ranks[dst], seq, phase, mine.clone(), clock);
+                    }
+                    let mut acc = self
+                        .coll_recv(ranks[pos - mask], seq, phase, clock)
+                        .to_vec();
+                    combine(&mut acc, buf);
+                    *buf = acc;
+                }
+                trace::instant(EventKind::CollRound, mask as u64, clock.now());
+            }
+            mask <<= 1;
+            round += 1;
+        }
     }
 
     fn hier_allreduce(
@@ -282,8 +350,7 @@ impl Communicator {
         let folded = t.deposit_and_sync(rank, seq, Some(std::mem::take(buf)), clock);
         let result = if t.is_leader(rank) {
             // Fold the group's contributions in member order (the leader is
-            // member 0), reduce across leaders to leader position 0, then
-            // broadcast the total back over the leader tree.
+            // member 0), then allreduce across the leaders.
             let mut contribs = folded.expect("leader sees group contributions").into_iter();
             let mut acc = contribs
                 .next()
@@ -292,10 +359,8 @@ impl Communicator {
             for c in contribs {
                 combine(&mut acc, &c.expect("every member deposits"));
             }
-            self.leaders_reduce(t, &mut acc, combine, seq, clock);
-            let mut b = Bytes::from(acc);
-            self.leaders_bcast(t, 0, &mut b, seq, PH_ALLRED_BCAST, clock);
-            t.publish(rank, seq, b, clock)
+            self.allreduce_among(t.leaders(), &mut acc, combine, seq, clock);
+            t.publish(rank, seq, Bytes::from(acc), clock)
         } else {
             t.collect(rank, seq, clock)
         };
@@ -304,10 +369,11 @@ impl Communicator {
 
     // ---- leader-phase algorithms ---------------------------------------
     //
-    // The inter-node halves of the two-level collectives: the same
-    // dissemination/binomial schemes as the flat algorithms, but run over
-    // the topology's leader ranks, addressed by *position* in the sorted
-    // leader list. Only leaders ever call these.
+    // The inter-node halves of the two-level barrier and broadcast: the
+    // same dissemination/binomial schemes as the flat algorithms, but run
+    // over the topology's leader ranks, addressed by *position* in the
+    // sorted leader list. Only leaders ever call these. (The allreduce's
+    // leader phase is `allreduce_among` over `t.leaders()`.)
 
     /// Dissemination barrier among the group leaders.
     fn leaders_barrier(&self, t: &CollectiveTopology, seq: u64, clock: &mut VClock) {
@@ -335,7 +401,6 @@ impl Communicator {
         root_pos: usize,
         buf: &mut Bytes,
         seq: u64,
-        phase: u8,
         clock: &mut VClock,
     ) {
         let leaders = t.leaders();
@@ -346,7 +411,7 @@ impl Communicator {
         while mask < l {
             if rel & mask != 0 {
                 let src = leaders[(rel - mask + root_pos) % l];
-                *buf = self.coll_recv(src, seq, phase, clock);
+                *buf = self.coll_recv(src, seq, PH_BCAST, clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 break;
             }
@@ -356,42 +421,10 @@ impl Communicator {
         while mask > 0 {
             if rel + mask < l {
                 let dst = leaders[(rel + mask + root_pos) % l];
-                self.coll_send(dst, seq, phase, buf.clone(), clock);
+                self.coll_send(dst, seq, PH_BCAST, buf.clone(), clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
             }
             mask >>= 1;
-        }
-    }
-
-    /// Binomial-tree reduction among the group leaders to leader
-    /// position 0.
-    fn leaders_reduce(
-        &self,
-        t: &CollectiveTopology,
-        buf: &mut Vec<u8>,
-        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
-        seq: u64,
-        clock: &mut VClock,
-    ) {
-        let leaders = t.leaders();
-        let l = leaders.len();
-        let pos = t.leader_position(self.rank());
-        let mut mask = 1usize;
-        while mask < l {
-            if pos & mask == 0 {
-                let peer = pos | mask;
-                if peer < l {
-                    let contrib = self.coll_recv(leaders[peer], seq, PH_REDUCE, clock);
-                    combine(buf, &contrib);
-                    trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                }
-            } else {
-                let dst = leaders[pos & !mask];
-                self.coll_send(dst, seq, PH_REDUCE, Bytes::copy_from_slice(buf), clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                break;
-            }
-            mask <<= 1;
         }
     }
 
@@ -785,6 +818,132 @@ mod tests {
             assert_eq!(sum, 15.0);
             assert_eq!(min, 5);
             assert_eq!(xs, vec![2.5, -1.0]);
+        }
+    }
+
+    /// Sequential fold in the order a binomial reduce to position 0
+    /// associates: in the round with `mask`, block `[lo, lo + 2·mask)`
+    /// becomes lower half ⊕ upper half.
+    fn binomial_fold<T: Clone>(xs: &[T], f: impl Fn(&T, &T) -> T) -> T {
+        let mut vals = xs.to_vec();
+        let mut mask = 1;
+        while mask < vals.len() {
+            for lo in (0..vals.len()).step_by(2 * mask) {
+                if lo + mask < vals.len() {
+                    vals[lo] = f(&vals[lo], &vals[lo + mask]);
+                }
+            }
+            mask <<= 1;
+        }
+        vals[0].clone()
+    }
+
+    /// The reference a topology's allreduce must reproduce: each group
+    /// folded left in member order, then the groups binomially in leader
+    /// order (all-singleton groups make this the flat reference).
+    fn grouped_fold<T: Clone>(t: &CollectiveTopology, xs: &[T], f: impl Fn(&T, &T) -> T) -> T {
+        let per_group: Vec<T> = t
+            .leaders()
+            .iter()
+            .map(|&l| {
+                let members = t.group_members(l);
+                let first = xs[members[0]].clone();
+                members[1..].iter().fold(first, |acc, &m| f(&acc, &xs[m]))
+            })
+            .collect();
+        binomial_fold(&per_group, f)
+    }
+
+    /// A ragged placement of `p` ranks: ranks in a scrambled order, cut
+    /// into groups of 2, 1, 3, 2, 1, 3, … members.
+    fn ragged_topology(p: usize) -> CollectiveTopology {
+        let mut order: Vec<usize> = (0..p).collect();
+        order.sort_by_key(|&r| (r * 7 + 3) % 13);
+        let mut groups = Vec::new();
+        let mut rest = &order[..];
+        for width in [2, 1, 3].into_iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (g, tail) = rest.split_at(width.min(rest.len()));
+            groups.push(g.to_vec());
+            rest = tail;
+        }
+        CollectiveTopology::from_groups(p, groups)
+    }
+
+    /// Operands whose sum depends on the association: `1e16 + 1.1` loses
+    /// the fraction, `1e16 - 1e16` does not.
+    fn operand(rank: usize) -> [f64; 3] {
+        let v = [1e16, 1.1, -1e16];
+        [v[rank % 3], v[(rank + 1) % 3], v[(rank + 2) % 3] * 0.5]
+    }
+
+    /// A non-commutative, non-associative combiner: the contribution is a
+    /// byte string and combining writes the bracketed pair, so the result
+    /// spells out the exact fold tree.
+    fn bracket(acc: &mut Vec<u8>, other: &[u8]) {
+        acc.insert(0, b'(');
+        acc.push(b',');
+        acc.extend_from_slice(other);
+        acc.push(b')');
+    }
+
+    fn label(rank: usize) -> Vec<u8> {
+        format!("r{rank}").into_bytes()
+    }
+
+    #[test]
+    fn allreduce_is_bitwise_the_binomial_fold_for_every_size() {
+        let add = |a: &[f64; 3], b: &[f64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
+        let pair = |a: &Vec<u8>, b: &Vec<u8>| {
+            let mut acc = a.clone();
+            bracket(&mut acc, b);
+            acc
+        };
+        for p in 1..=13 {
+            let xs: Vec<[f64; 3]> = (0..p).map(operand).collect();
+            let labels: Vec<Vec<u8>> = (0..p).map(label).collect();
+            for topo in [CollectiveTopology::flat(p), ragged_topology(p)] {
+                let want_sum = grouped_fold(&topo, &xs, add).map(f64::to_bits);
+                let want_tree = grouped_fold(&topo, &labels, pair);
+                let topo = Arc::new(topo);
+                let fabric = Fabric::new(p, NetProfile::clan_via());
+                let out = run_on(fabric, Some(Arc::clone(&topo)), |c, clk| {
+                    let mut xs = operand(c.rank());
+                    c.allreduce_f64s(&mut xs, ReduceOp::Sum, clk);
+                    let mut tree = label(c.rank());
+                    c.allreduce_with(&mut tree, &bracket, clk);
+                    (xs.map(f64::to_bits), tree)
+                });
+                for (rank, (sum, tree)) in out.into_iter().enumerate() {
+                    let groups = topo.num_groups();
+                    assert_eq!(sum, want_sum, "p={p} groups={groups} rank {rank}");
+                    assert_eq!(
+                        String::from_utf8(tree).unwrap(),
+                        String::from_utf8(want_tree.clone()).unwrap(),
+                        "p={p} groups={groups} rank {rank}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_sends_p_log_p_messages() {
+        // Recursive doubling: every rank sends one message per round when
+        // P is a power of two — P·⌈log₂P⌉ in total, against 2(P−1) for
+        // reduce-then-broadcast, in ⌈log₂P⌉ hops instead of 2⌈log₂P⌉.
+        for (p, want) in [(2, 2), (4, 8), (8, 24), (3, 3 + 2), (6, 6 + 4 + 6)] {
+            let fabric = Fabric::new(p, NetProfile::clan_via());
+            let stats = Arc::clone(&fabric);
+            run_on(fabric, None, |c, clk| {
+                c.allreduce_i64(1, ReduceOp::Sum, clk)
+            });
+            let sent: u64 = (0..p)
+                .map(|i| stats.stats().node(i).class_totals(MsgClass::Coll).msgs)
+                .sum();
+            assert_eq!(sent, want, "p={p}");
         }
     }
 

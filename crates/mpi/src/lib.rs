@@ -7,9 +7,9 @@
 //! this crate is that subset over the simulated fabric of [`parade_net`]:
 //!
 //! * typed point-to-point send/receive with tag matching,
-//! * `barrier` (dissemination), `bcast` (binomial tree),
-//! * `allreduce`/`reduce` (binomial reduce + broadcast) with built-in and
-//!   user-defined combiners, `gather`/`allgather`,
+//! * `barrier` (dissemination), `bcast` and `reduce` (binomial tree),
+//! * `allreduce` (recursive doubling) with built-in and user-defined
+//!   combiners, `gather`/`allgather`,
 //! * two-level SMP-aware collective algorithms over a
 //!   [`CollectiveTopology`]: ranks co-located on an SMP node combine
 //!   through shared memory and only elected group leaders cross the wire,

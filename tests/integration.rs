@@ -342,12 +342,16 @@ fn hierarchical_collective_message_counts_are_pinned() {
     // arrivals handed to each node's own communication thread, N-1
     // aggregated BarrierUps, N departures) vs the flat 2N; the workload
     // executes 10 rounds in total (8 explicit barriers plus the team's
-    // entry/exit synchronization around the reduction).
+    // entry/exit synchronization around the reduction). On top come the
+    // reduction's recursive-doubling allreduce, N·log₂N messages (8 at
+    // N=4, 24 at N=8), and the master's two command broadcasts (fork and
+    // shutdown) of N-1 messages each: 110+8+6, 230+24+14 and, flat,
+    // 80+8+6.
     let c44 = collective_message_count(4, 4, true);
-    assert_eq!(c44, 122, "4 nodes x 4 threads, hierarchical");
+    assert_eq!(c44, 124, "4 nodes x 4 threads, hierarchical");
     assert_eq!(
         collective_message_count(8, 2, true),
-        258,
+        268,
         "8 nodes x 2 threads, hierarchical"
     );
     assert_eq!(
@@ -359,5 +363,5 @@ fn hierarchical_collective_message_counts_are_pinned() {
     // The flat baseline has a different (smaller) wire footprint; if the
     // hierarchical path silently fell back to it, the pins above would
     // still pass only by coincidence — rule that out explicitly.
-    assert_eq!(collective_message_count(4, 4, false), 92, "flat baseline");
+    assert_eq!(collective_message_count(4, 4, false), 94, "flat baseline");
 }
